@@ -386,14 +386,12 @@ def _engine_results(trace, report) -> dict:
                 for c in verdict.clusters
             ],
         },
-        "consistency_max": _jf(report.consistency_max),
         "schwarz_max": _jf(report.schwarz_max),
         "steps": [
             {
                 "n": s.n,
                 "diameter": _jf(s.diameter),
                 "movement": _jf(s.movement),
-                "consistency_gap": _jf(s.consistency_gap),
                 "schwarz_slack": _jf(s.schwarz_slack),
                 "lost_points": len(s.point_errors),
             }

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +165,19 @@ def test_cli_byte_identical_reruns(tmp_path):
         left = (tmp_path / "a" / name).read_bytes()
         right = (tmp_path / "b" / name).read_bytes()
         assert left == right, name
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("case", sorted(p.name for p in GOLDEN.iterdir()))
+def test_cli_ifs_run_matches_golden_outputs(tmp_path, case):
+    # Outputs captured from the engine that evaluated each prefix F_n on
+    # its own; the prefix sweep must reproduce them byte for byte.
+    cfg = GOLDEN / case / "config.json"
+    assert main(["ifs-run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    for name in ("trace.csv", "report.json", "grid.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
 
 
 def test_cli_seed_override_changes_run_and_echo(tmp_path):

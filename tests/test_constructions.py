@@ -99,6 +99,20 @@ def test_nonconstant_engine_verdict():
     assert report.verdict.diameter_floor >= X.rho_X(a0, w0) / 2.0
 
 
+def test_nonconstant_engine_verdict_with_drifting_marker():
+    # The marked orbit drifts by ~1e-7 a step, so each of the last twelve
+    # steps is a cluster of its own; one-step clusters are no evidence of
+    # alternation, and the diameter floor stays near 1.5625.
+    X = Horodisk(1.0, 0.7)
+    a0 = complex(X.anchor)
+    w0 = point_at_intrinsic_distance(X, a0, 0.3)
+    seq, steps = build_nonconstant_system(X, a0, w0, 20)
+    probe = ProbeSpec(marked=(complex(steps[-1].marked_tilde),))
+    _trace, report = run(seq, probe=probe)
+    assert report.verdict.kind == "non_constant"
+    assert report.verdict.diameter_floor == pytest.approx(1.5625, abs=1e-3)
+
+
 def test_nonconstant_builder_rejections():
     X, a0, _w0 = _horodisk_pair()
     with pytest.raises(PreconditionError):
