@@ -5,7 +5,9 @@ Every run writes three files under the output directory: `trace.csv`
 plus command results; complex values as [re, im] pairs, non-finite floats
 as null), and `grid.csv` (the image of a fixed polar grid under the final
 composite, for external plotting).  Identical config and seed produce
-byte-identical files.
+byte-identical files.  The search-budget and probe keys are the fields of
+SearchBudget and ProbeSpec, and results encode the library's dataclasses
+field by field.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from .constructions import (
 )
 from .domains import parse_domain
 from .errors import ConfigError, NumericError, PreconditionError
-from .hyperbolic import Blaschke2, DiskPoint, MobiusAut
+from .hyperbolic import Blaschke2, MobiusAut
 from .ifs import (
     Affine,
     MapDescriptor,
@@ -46,16 +48,6 @@ from .ifs import (
     denjoy_wolff,
     random_system,
     run,
-)
-
-COMMANDS = (
-    "bloch",
-    "ifs-run",
-    "construct-t7",
-    "construct-t8",
-    "dw",
-    "verify-lemmas",
-    "qc",
 )
 
 _GRID_RINGS = 12
@@ -86,8 +78,12 @@ def _check_int(path, v):
     return v
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _check_float(path, v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"config key {path!r}: expected a number, got {v!r}")
     return float(v)
 
@@ -105,83 +101,60 @@ def _check_bool(path, v):
 
 
 def _check_pair(path, v):
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-    ):
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
         raise ConfigError(f"config key {path!r}: expected [re, im], got {v!r}")
     return [float(v[0]), float(v[1])]
 
 
 def _check_floatlist(path, v):
-    if (
-        not isinstance(v, (list, tuple))
-        or not v
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-    ):
+    if not isinstance(v, (list, tuple)) or not v or not all(map(_is_number, v)):
         raise ConfigError(f"config key {path!r}: expected a list of numbers, got {v!r}")
     return [float(x) for x in v]
 
 
-_PROBE_SCHEMA = {
-    "rho_radius": (_check_float, 1.2),
-    "rings": (_check_int, 24),
-    "spokes": (_check_int, 24),
-    "origin": (_check_bool, True),
-}
+def _check_object(schema: dict):
+    """Check for a nested object whose keys follow their own schema."""
 
-_BUDGET_KEYS = {
-    "depth": (_check_float, 3.0),
-    "ring_step": (_check_float, 0.25),
-    "angular_cap": (_check_int, 64),
-    "refine_iters": (_check_int, 120),
-    "witness_threshold": (_check_float, 1.0),
-    "witness_samples": (_check_int, 10000),
-}
+    def check(path, v):
+        if not isinstance(v, dict):
+            raise ConfigError(f"config key {path!r}: expected an object, got {v!r}")
+        return _parse_keys(v, schema, f"{path}.", "")
 
-_SCHEMAS = {
-    "bloch": {"domain": (_check_str, _REQUIRED), **_BUDGET_KEYS},
-    "qc": {
-        "domain": (_check_str, _REQUIRED),
-        "exponent": (_check_float, 2.0),
-        **_BUDGET_KEYS,
-    },
-    "ifs-run": {
-        "domain": (_check_str, _REQUIRED),
-        "N": (_check_int, 50),
-        "tol": (_check_float, 1e-8),
-        "probe": (None, None),  # nested, handled explicitly
-    },
-    "construct-t7": {
-        "domain": (_check_str, _REQUIRED),
-        "N": (_check_int, 20),
-        "distance": (_check_float, 0.3),
-        "angle": (_check_float, 0.0),
-        "a0": (_check_pair, None),
-    },
-    "construct-t8": {
-        "domain": (_check_str, _REQUIRED),
-        "N": (_check_int, 12),
-        "distance": (_check_float, 1.0),
-        "angle": (_check_float, math.pi / 3.0),
-        "base": (_check_pair, None),
-        "value1": (_check_pair, None),
-    },
-    "dw": {
-        "map": (_check_str, _REQUIRED),
-        "z0": (_check_pair, _REQUIRED),
-        "N": (_check_int, 1000),
-        "tol": (_check_float, 1e-10),
-    },
-    "verify-lemmas": {
-        "bounds": (_check_floatlist, [2.0, 4.0, 8.0]),
-        "sample_count": (_check_int, 512),
-        "target": (_check_pair, [0.3, 0.0]),
-        "moduli": (_check_floatlist, [0.9, 0.99, 0.999]),
-        "args_per_modulus": (_check_int, 8),
-    },
-}
+    return check
+
+
+_CHECK_BY_TYPE = {bool: _check_bool, int: _check_int, float: _check_float}
+
+
+def _schema_of(cls, skip=()) -> dict:
+    """Config keys of a library dataclass: each field with its default,
+    checked by the default's type."""
+    return {
+        f.name: (_CHECK_BY_TYPE[type(f.default)], f.default)
+        for f in fields(cls)
+        if f.name not in skip
+    }
+
+
+def _parse_keys(doc: dict, schema: dict, prefix: str, where: str) -> dict:
+    """Check every key of doc against schema, then fill the defaults.
+
+    A default goes through its key's check like a given value, so a
+    nested object fills its own defaults; a None default leaves the key
+    unset.
+    """
+    out = {}
+    for key, value in doc.items():
+        if key not in schema:
+            raise ConfigError(f"unknown config key {prefix + key!r}{where}")
+        out[key] = schema[key][0](prefix + key, value)
+    for key, (check, default) in schema.items():
+        if key in out:
+            continue
+        if default is _REQUIRED:
+            raise ConfigError(f"config key {prefix + key!r} is required{where}")
+        out[key] = None if default is None else check(prefix + key, default)
+    return out
 
 
 def parse_config(text: str) -> RunConfig:
@@ -199,60 +172,18 @@ def parse_config(text: str) -> RunConfig:
         ) from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    command = doc.get("command")
+    command = doc.pop("command", None)
     if command is None:
         raise ConfigError("config key 'command' is required")
-    if command not in _SCHEMAS:
+    if command not in _COMMANDS:
         raise ConfigError(
             f"config key 'command': unknown command {command!r}; "
             f"expected one of {', '.join(COMMANDS)}"
         )
-    schema = dict(_SCHEMAS[command])
-    options: dict = {}
-    for key, value in doc.items():
-        if key == "command":
-            continue
-        if key == "seed":
-            options["seed"] = _check_int("seed", value)
-        elif key == "out":
-            options["out"] = _check_str("out", value)
-        elif key == "probe" and command == "ifs-run":
-            options["probe"] = _parse_probe(value)
-        elif key in schema:
-            check, _default = schema[key]
-            options[key] = check(key, value)
-        else:
-            raise ConfigError(
-                f"unknown config key {key!r} for command {command!r}"
-            )
-    options.setdefault("seed", 0)
-    options.setdefault("out", "out")
-    for key, (check, default) in schema.items():
-        if key == "probe":
-            options.setdefault("probe", _parse_probe({}))
-            continue
-        if key not in options:
-            if default is _REQUIRED:
-                raise ConfigError(
-                    f"config key {key!r} is required for command {command!r}"
-                )
-            options[key] = default
+    schema = {**_COMMON_KEYS, **_COMMANDS[command][0]}
+    options = _parse_keys(doc, schema, "", f" for command {command!r}")
     _validate_semantics(command, options)
     return RunConfig(command=command, options=options)
-
-
-def _parse_probe(value) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key 'probe': expected an object, got {value!r}")
-    probe = {}
-    for key, v in value.items():
-        if key not in _PROBE_SCHEMA:
-            raise ConfigError(f"unknown config key 'probe.{key}'")
-        check, _default = _PROBE_SCHEMA[key]
-        probe[key] = check(f"probe.{key}", v)
-    for key, (check, default) in _PROBE_SCHEMA.items():
-        probe.setdefault(key, default)
-    return probe
 
 
 def _validate_semantics(command: str, options: dict) -> None:
@@ -264,20 +195,9 @@ def _validate_semantics(command: str, options: dict) -> None:
     if "map" in options:
         parse_map(options["map"])
     if command == "dw":
-        z0 = complex(options["z0"][0], options["z0"][1])
+        z0 = complex(*options["z0"])
         if not 1.0 - abs(z0) >= 1e-15:
             raise ConfigError(f"config key 'z0': {z0!r} is not inside the disk")
-    if command == "ifs-run":
-        probe = options["probe"]
-        try:
-            ProbeSpec(
-                rho_radius=probe["rho_radius"],
-                rings=probe["rings"],
-                spokes=probe["spokes"],
-                origin=probe["origin"],
-            )
-        except PreconditionError as exc:
-            raise ConfigError(f"config key 'probe': {exc}") from None
 
 
 _MAP_TOKEN = re.compile(r"^([a-z]+)(?:\((.*)\))?$")
@@ -328,132 +248,86 @@ def parse_map(text: str) -> tuple:
     return tuple(pieces)
 
 
-def _jf(x):
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _fields(obj, drop=()) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [_jf(z.real), _jf(z.imag)]
-
-
-def _budget_from(options: dict) -> SearchBudget:
-    return SearchBudget(
-        depth=options["depth"],
-        ring_step=options["ring_step"],
-        angular_cap=options["angular_cap"],
-        refine_iters=options["refine_iters"],
-        witness_threshold=options["witness_threshold"],
-        witness_samples=options["witness_samples"],
-    )
+def _encode(value):
+    """JSON form of a result: dataclasses become dicts by field, complex
+    values [re, im], non-finite floats null, and tuples lists."""
+    if is_dataclass(value):
+        value = _fields(value)
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, complex):
+        return [_encode(value.real), _encode(value.imag)]
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    return value
 
 
 def _bloch_results(rep) -> dict:
-    witness = None
-    if rep.witness is not None:
-        witness = {
-            "center": _pair(rep.witness.center),
-            "radius": _jf(rep.witness.radius),
-        }
     return {
-        "center": _pair(rep.best_center),
-        "inradius": _jf(rep.best_inradius),
-        "verdict": {"kind": rep.verdict.kind, "value": _jf(rep.verdict.value)},
-        "budget": {
-            "depth": _jf(rep.budget.depth),
-            "ring_step": _jf(rep.budget.ring_step),
-            "angular_cap": rep.budget.angular_cap,
-            "refine_iters": rep.budget.refine_iters,
-            "witness_threshold": _jf(rep.budget.witness_threshold),
-            "witness_samples": rep.budget.witness_samples,
-        },
-        "witness": witness,
+        **_fields(rep, drop=("best_center", "best_inradius")),
+        "center": rep.best_center,
+        "inradius": rep.best_inradius,
     }
 
 
 def _engine_results(trace, report) -> dict:
-    verdict = report.verdict
     return {
-        "verdict": {
-            "kind": verdict.kind,
-            "constant": None if verdict.constant is None else _pair(verdict.constant),
-            "diameter_floor": None
-            if verdict.diameter_floor is None
-            else _jf(verdict.diameter_floor),
-            "clusters": [
-                {"representative": _pair(c.representative), "steps": list(c.steps)}
-                for c in verdict.clusters
-            ],
-        },
-        "schwarz_max": _jf(report.schwarz_max),
+        "verdict": report.verdict,
+        "schwarz_max": report.schwarz_max,
         "steps": [
-            {
-                "n": s.n,
-                "diameter": _jf(s.diameter),
-                "movement": _jf(s.movement),
-                "schwarz_slack": _jf(s.schwarz_slack),
-                "lost_points": len(s.point_errors),
-            }
+            {**_fields(s, drop=("values", "point_errors")), "lost_points": len(s.point_errors)}
             for s in trace.steps
         ],
     }
 
 
 def _trace_rows(trace) -> list:
-    rows = []
-    for step in trace.steps:
-        for idx, z in enumerate(step.values):
-            rows.append(
-                (step.n, idx, float(z.real), float(z.imag), float(step.diameter))
-            )
-    return rows
+    return [
+        (step.n, idx, float(z.real), float(z.imag), float(step.diameter))
+        for step in trace.steps
+        for idx, z in enumerate(step.values)
+    ]
+
+
+def _budget(options: dict) -> SearchBudget:
+    return SearchBudget(**{key: options[key] for key in _BUDGET_SCHEMA})
 
 
 def _run_bloch(options: dict):
     X = parse_domain(options["domain"])
-    rep = bloch_radius_search(X, _budget_from(options))
-    return _bloch_results(rep), [], None
+    return _bloch_results(bloch_radius_search(X, _budget(options))), [], None
 
 
 def _run_qc(options: dict):
     X = parse_domain(options["domain"])
-    budget = _budget_from(options)
+    budget = _budget(options)
     baseline = bloch_radius_search(X, budget)
     stretched = qc_image_experiment(X, RadialStretch(options["exponent"]), budget)
-    return (
-        {
-            "exponent": _jf(options["exponent"]),
-            "baseline": _bloch_results(baseline),
-            "stretched": _bloch_results(stretched),
-            "verdict_preserved": baseline.verdict.kind == stretched.verdict.kind,
-        },
-        [],
-        None,
-    )
+    results = {
+        "exponent": options["exponent"],
+        "baseline": _bloch_results(baseline),
+        "stretched": _bloch_results(stretched),
+        "verdict_preserved": baseline.verdict.kind == stretched.verdict.kind,
+    }
+    return results, [], None
 
 
 def _run_ifs(options: dict):
     X = parse_domain(options["domain"])
     seq = random_system(X, options["seed"], options["N"])
-    p = options["probe"]
-    probe = ProbeSpec(
-        rho_radius=p["rho_radius"],
-        rings=p["rings"],
-        spokes=p["spokes"],
-        origin=p["origin"],
-    )
-    trace, report = run(seq, probe=probe, tol=options["tol"])
+    trace, report = run(seq, probe=ProbeSpec(**options["probe"]), tol=options["tol"])
     return _engine_results(trace, report), _trace_rows(trace), seq
 
 
 def _run_t7(options: dict):
     X = parse_domain(options["domain"])
-    a0 = (
-        complex(options["a0"][0], options["a0"][1])
-        if options["a0"] is not None
-        else complex(X.anchor)
-    )
+    a0 = complex(X.anchor) if options["a0"] is None else complex(*options["a0"])
     w0 = point_at_intrinsic_distance(X, a0, options["distance"], options["angle"])
     seq, steps = build_nonconstant_system(X, a0, w0, options["N"])
     marked = complex(steps[-1].marked_tilde)
@@ -461,29 +335,17 @@ def _run_t7(options: dict):
     f_zero = complex(compose_eval(seq, 0j))
     f_marked = complex(compose_eval(seq, marked))
     results = {
-        "a0": _pair(a0),
-        "w0": _pair(w0),
+        "a0": a0,
+        "w0": w0,
         "steps": [
-            {
-                "n": s.n,
-                "anchor": _pair(s.anchor),
-                "marked": _pair(s.marked),
-                "marked_tilde": _pair(s.marked_tilde),
-                "lift": _jf(s.lift),
-                "depth": _jf(s.depth_used),
-                "dist_pair": _jf(s.dist_pair),
-                "dist_intrinsic": _jf(s.dist_intrinsic),
-                "dist_tilde": _jf(s.dist_tilde),
-                "inradius": _jf(s.inradius),
-                "checks": dict(s.checks),
-            }
+            {**_fields(s, drop=("descriptor", "depth_used")), "depth": s.depth_used}
             for s in steps
         ],
         "final": {
-            "composite_at_zero": _pair(f_zero),
-            "composite_at_marked": _pair(f_marked),
-            "pin_error_zero": _jf(abs(f_zero - a0)),
-            "pin_error_marked": _jf(abs(f_marked - w0)),
+            "composite_at_zero": f_zero,
+            "composite_at_marked": f_marked,
+            "pin_error_zero": abs(f_zero - a0),
+            "pin_error_marked": abs(f_marked - w0),
         },
         "engine": _engine_results(trace, report),
     }
@@ -492,18 +354,11 @@ def _run_t7(options: dict):
 
 def _run_t8(options: dict):
     X = parse_domain(options["domain"])
-    base = (
-        complex(options["base"][0], options["base"][1])
-        if options["base"] is not None
-        else complex(X.anchor)
-    )
-    value1 = (
-        complex(options["value1"][0], options["value1"][1])
-        if options["value1"] is not None
-        else point_at_intrinsic_distance(
-            X, base, options["distance"], options["angle"]
-        )
-    )
+    base = complex(X.anchor) if options["base"] is None else complex(*options["base"])
+    if options["value1"] is None:
+        value1 = point_at_intrinsic_distance(X, base, options["distance"], options["angle"])
+    else:
+        value1 = complex(*options["value1"])
     seq, steps = build_alternating_system(X, base, value1, options["N"])
     trace, report = run(seq, probe=ProbeSpec(marked=(base,)))
     even_err = 0.0
@@ -515,44 +370,27 @@ def _run_t8(options: dict):
         else:
             odd_err = max(odd_err, abs(v - value1))
     results = {
-        "base": _pair(base),
-        "value1": _pair(value1),
-        "steps": [
-            {
-                "n": s.n,
-                "value": _pair(s.value),
-                "theta": _jf(s.theta),
-                "circle_radius": _jf(s.circle_radius),
-                "checks": dict(s.checks),
-            }
-            for s in steps
-        ],
-        "alternation": {"even_error": _jf(even_err), "odd_error": _jf(odd_err)},
+        "base": base,
+        "value1": value1,
+        "steps": [_fields(s, drop=("base", "descriptor")) for s in steps],
+        "alternation": {"even_error": even_err, "odd_error": odd_err},
         "engine": _engine_results(trace, report),
     }
     return results, _trace_rows(trace), seq
 
 
 def _run_dw(options: dict):
-    pieces = parse_map(options["map"])
-    f = MapDescriptor(pieces)
-    z0 = complex(options["z0"][0], options["z0"][1])
-    limit, location = denjoy_wolff(f, z0, options["N"], options["tol"])
-    rows = []
-    z = z0
-    for n in range(1, options["N"] + 1):
-        w = complex(f(z))
-        rows.append((n, 0, float(w.real), float(w.imag), 0.0))
-        if abs(w - z) < options["tol"] or not 1.0 - abs(w) >= 1e-14:
-            break
-        z = w
+    f = MapDescriptor(parse_map(options["map"]))
+    z0 = complex(*options["z0"])
+    limit, location, orbit = denjoy_wolff(f, z0, options["N"], options["tol"])
     results = {
         "map": options["map"],
-        "z0": _pair(z0),
-        "limit": _pair(limit),
+        "z0": z0,
+        "limit": limit,
         "location": location,
-        "iterations": len(rows),
+        "iterations": len(orbit),
     }
+    rows = [(n, 0, w.real, w.imag, 0.0) for n, w in enumerate(orbit, start=1)]
     return results, rows, [f] * options["N"]
 
 
@@ -560,42 +398,76 @@ def _run_verify(options: dict):
     metric = metric_comparison_report(
         tuple(options["bounds"]), options["sample_count"]
     )
-    target = complex(options["target"][0], options["target"][1])
     preimage = preimage_convergence_report(
-        target,
+        complex(*options["target"]),
         tuple(options["moduli"]),
         options["seed"],
         options["args_per_modulus"],
     )
-    results = {
-        "metric_comparison": {
-            "bounds": list(metric.bounds),
-            "ratio_excess": [_jf(x) for x in metric.ratio_excess],
-            "density_ratio": [_jf(x) for x in metric.density_ratio],
-            "domination_ok": metric.domination_ok,
-            "sample_count": metric.sample_count,
-        },
-        "preimage_convergence": {
-            "target": _pair(preimage.target),
-            "limit": _jf(preimage.limit),
-            "moduli": list(preimage.moduli),
-            "real_axis_gaps": [_jf(x) for x in preimage.real_axis_gaps],
-            "sampled_gaps": [_jf(x) for x in preimage.sampled_gaps],
-            "identity_error": _jf(preimage.identity_error),
-        },
-    }
-    return results, [], None
+    return {"metric_comparison": metric, "preimage_convergence": preimage}, [], None
 
 
-_DISPATCH = {
-    "bloch": _run_bloch,
-    "qc": _run_qc,
-    "ifs-run": _run_ifs,
-    "construct-t7": _run_t7,
-    "construct-t8": _run_t8,
-    "dw": _run_dw,
-    "verify-lemmas": _run_verify,
+_COMMON_KEYS = {"seed": (_check_int, 0), "out": (_check_str, "out")}
+_BUDGET_SCHEMA = _schema_of(SearchBudget)
+_DOMAIN_KEY = {"domain": (_check_str, _REQUIRED)}
+
+# Each command's config keys (check, default) and its runner, which
+# returns (results, trace rows, the map sequence behind grid.csv).
+_COMMANDS = {
+    "bloch": ({**_DOMAIN_KEY, **_BUDGET_SCHEMA}, _run_bloch),
+    "ifs-run": (
+        {
+            **_DOMAIN_KEY,
+            "N": (_check_int, 50),
+            "tol": (_check_float, 1e-8),
+            # marked points are for the builders' runs, not for configs
+            "probe": (_check_object(_schema_of(ProbeSpec, skip=("marked",))), {}),
+        },
+        _run_ifs,
+    ),
+    "construct-t7": (
+        {
+            **_DOMAIN_KEY,
+            "N": (_check_int, 20),
+            "distance": (_check_float, 0.3),
+            "angle": (_check_float, 0.0),
+            "a0": (_check_pair, None),
+        },
+        _run_t7,
+    ),
+    "construct-t8": (
+        {
+            **_DOMAIN_KEY,
+            "N": (_check_int, 12),
+            "distance": (_check_float, 1.0),
+            "angle": (_check_float, math.pi / 3.0),
+            "base": (_check_pair, None),
+            "value1": (_check_pair, None),
+        },
+        _run_t8,
+    ),
+    "dw": (
+        {
+            "map": (_check_str, _REQUIRED),
+            "z0": (_check_pair, _REQUIRED),
+            "N": (_check_int, 1000),
+            "tol": (_check_float, 1e-10),
+        },
+        _run_dw,
+    ),
+    "verify-lemmas": (
+        {
+            "bounds": (_check_floatlist, [2.0, 4.0, 8.0]),
+            "sample_count": (_check_int, 512),
+            "target": (_check_pair, [0.3, 0.0]),
+            "moduli": (_check_floatlist, [0.9, 0.99, 0.999]),
+            "args_per_modulus": (_check_int, 8),
+        },
+        _run_verify,
+    ),
+    "qc": ({**_DOMAIN_KEY, "exponent": (_check_float, 2.0), **_BUDGET_SCHEMA}, _run_qc),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def _grid_rows(seq) -> list:
@@ -608,23 +480,11 @@ def _grid_rows(seq) -> list:
             src.append(r * complex(math.cos(phi), math.sin(phi)))
             index.append((ring, spoke))
     pts = np.array(src, dtype=complex)
-    if seq:
-        img, _errors = _evaluate_grid(seq, len(seq), pts)
-    else:
-        img = pts
-    rows = []
-    for (ring, spoke), s, v in zip(index, pts, img, strict=True):
-        rows.append(
-            (
-                ring,
-                spoke,
-                float(s.real),
-                float(s.imag),
-                float(v.real),
-                float(v.imag),
-            )
-        )
-    return rows
+    img = _evaluate_grid(seq, len(seq), pts)[0] if seq else pts
+    return [
+        (ring, spoke, float(s.real), float(s.imag), float(v.real), float(v.imag))
+        for (ring, spoke), s, v in zip(index, pts, img, strict=True)
+    ]
 
 
 def emit_outputs(out_dir, report: dict, trace_rows=(), seq=None) -> dict:
@@ -658,12 +518,12 @@ def emit_outputs(out_dir, report: dict, trace_rows=(), seq=None) -> dict:
 
 def execute(config: RunConfig) -> dict:
     """Run a validated config and write its outputs; returns the report."""
-    results, trace_rows, seq = _DISPATCH[config.command](config.options)
+    results, trace_rows, seq = _COMMANDS[config.command][1](config.options)
     echo = json.loads(config.serialize())
     # The output directory is not part of the run semantics; dropping it
     # keeps reports byte-identical across output locations.
     echo.pop("out", None)
-    report = {"command": config.command, "config": echo, "results": results}
+    report = {"command": config.command, "config": echo, "results": _encode(results)}
     emit_outputs(config.options["out"], report, trace_rows, seq)
     return report
 
@@ -693,11 +553,8 @@ def main(argv=None) -> int:
                 f"config names command {config.command!r} but the command line "
                 f"says {args.command!r}"
             )
-        options = dict(config.options)
-        if args.seed is not None:
-            options["seed"] = args.seed
-        if args.out is not None:
-            options["out"] = args.out
+        overrides = {"seed": args.seed, "out": args.out}
+        options = {**config.options, **{k: v for k, v in overrides.items() if v is not None}}
         config = RunConfig(command=config.command, options=options)
         execute(config)
     except NumericError as exc:

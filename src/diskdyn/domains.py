@@ -344,11 +344,6 @@ class MobiusImage(DomainModel):
         return cap - rho(0.0, self.aut(0.0))
 
 
-def mobius_image(base: DomainModel, aut: MobiusAut) -> MobiusImage:
-    """Transport a catalog entry by a disk automorphism."""
-    return MobiusImage(base, aut)
-
-
 def covering_with_basepoint(X: DomainModel, u0, x0, theta: float = 0.0):
     """The covering of a simply connected entry X pinned at a basepoint.
 

@@ -225,11 +225,3 @@ class HyperbolicDisk:
         m = math.tanh(r)
         h = (p + m) / (1.0 + p * m)
         return cls(h * phase, r)
-
-
-def hyp_to_euclid(disk: HyperbolicDisk) -> tuple[complex, float]:
-    return disk.to_euclidean()
-
-
-def euclid_to_hyp(center, radius: float) -> HyperbolicDisk:
-    return HyperbolicDisk.from_euclidean(center, radius)

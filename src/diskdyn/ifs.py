@@ -246,12 +246,14 @@ def _guard(vals: np.ndarray, alive: np.ndarray, errors: list, k: int) -> np.ndar
 
 def _evaluate_grid(seq, n: int, points: np.ndarray):
     """F_n on the probe grid with the boundary guard; dead points carry NaN
-    and a message naming the inner step that lost them."""
+    and a message naming the inner step that lost them.  The later maps
+    still run on those NaNs, with their invalid-value warnings silenced."""
     vals = points.astype(complex)[None]
     alive = np.ones(vals.shape, dtype=bool)
     errors: list[dict[int, str]] = [{}]
-    for k in range(n, 0, -1):
-        vals = _guard(np.asarray(seq[k - 1](vals[0]), dtype=complex)[None], alive, errors, k)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(n, 0, -1):
+            vals = _guard(np.asarray(seq[k - 1](vals[0]), dtype=complex)[None], alive, errors, k)
     return vals[0], errors[0]
 
 
@@ -269,12 +271,13 @@ def _evaluate_prefixes(seq, N: int, points: np.ndarray):
     alive = np.ones((N, P), dtype=bool)
     errors: list[dict[int, str]] = [{} for _ in range(N)]
     step = max(1, _SWEEP_BLOCK // P)
-    for k in range(N, 0, -1):
-        vals[k - 1] = points
-        for a in range(k - 1, N, step):
-            b = min(a + step, N)
-            block = np.asarray(seq[k - 1](vals[a:b].ravel()), dtype=complex)
-            vals[a:b] = _guard(block.reshape(b - a, P), alive[a:b], errors[a:b], k)
+    with np.errstate(invalid="ignore", divide="ignore"):  # maps on lost (NaN) points
+        for k in range(N, 0, -1):
+            vals[k - 1] = points
+            for a in range(k - 1, N, step):
+                b = min(a + step, N)
+                block = np.asarray(seq[k - 1](vals[a:b].ravel()), dtype=complex)
+                vals[a:b] = _guard(block.reshape(b - a, P), alive[a:b], errors[a:b], k)
     return vals, errors
 
 
@@ -413,8 +416,10 @@ def _classify(records: list, marker_index: int, tol: float) -> IFSVerdict:
                 )
                 return IFSVerdict("multiple_accumulation", clusters=clusters)
 
-    diams = [r.diameter for r in records if not math.isnan(r.diameter)]
-    if diams and min(diams) >= 10.0 * tol:
+    # A floor needs every step measured: once the guard has lost the tail,
+    # nothing bounds the diameters of the later composites.
+    diams = [r.diameter for r in records]
+    if all(math.isfinite(d) for d in diams) and min(diams) >= 10.0 * tol:
         return IFSVerdict("non_constant", diameter_floor=min(diams))
     return IFSVerdict("undecided")
 
@@ -422,9 +427,10 @@ def _classify(records: list, marker_index: int, tol: float) -> IFSVerdict:
 def denjoy_wolff(f: MapDescriptor, z0, n_steps: int = 1000, tol: float = 1e-10):
     """Iterate a non-automorphism self-map from z0 to its constant limit.
 
-    Returns (limit, classification) with classification "interior" or
-    "boundary" decided by |limit| against 1 - tol; boundary limits are
-    snapped to the unit circle.  Raises when the orbit has not become a
+    Returns (limit, classification, orbit) with classification "interior"
+    or "boundary" decided by |limit| against 1 - tol; boundary limits are
+    snapped to the unit circle.  orbit holds the iterates f(z0), f(f(z0)),
+    ... up to the one that stopped the iteration.  Raises when the orbit has not become a
     Cauchy sequence within n_steps (an undecided run), and rejects a
     chain that is a single disk automorphism outright.
     """
@@ -433,24 +439,24 @@ def denjoy_wolff(f: MapDescriptor, z0, n_steps: int = 1000, tol: float = 1e-10):
             "a conformal automorphism has no Denjoy-Wolff limit in general"
         )
     z = complex(DiskPoint(z0))
-    limit = None
+    orbit = []
     for _ in range(int(n_steps)):
         w = complex(f(z))
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise NumericError(f"orbit of {z0!r} left the numeric range")
+        orbit.append(w)
         if 1.0 - abs(w) < ORBIT_GUARD:
-            return w / abs(w), "boundary"
+            return w / abs(w), "boundary", tuple(orbit)
         if abs(w - z) < tol:
-            limit = w
             break
         z = w
-    if limit is None:
+    else:
         raise NumericError(
             f"orbit of {z0!r} is undecided: no Cauchy convergence in {n_steps} steps"
         )
-    if 1.0 - abs(limit) < tol:
-        return limit / abs(limit), "boundary"
-    return limit, "interior"
+    if 1.0 - abs(w) < tol:
+        return w / abs(w), "boundary", tuple(orbit)
+    return w, "interior", tuple(orbit)
 
 
 def random_system(X, seed: int, count: int) -> list[MapDescriptor]:

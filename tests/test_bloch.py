@@ -12,7 +12,7 @@ from diskdyn.bloch import (
     qc_image_experiment,
     witness_disk_verify,
 )
-from diskdyn.domains import EuclideanSubdisk, Horodisk, RDenseComplement, mobius_image
+from diskdyn.domains import EuclideanSubdisk, Horodisk, MobiusImage, RDenseComplement
 from diskdyn.errors import PreconditionError
 from diskdyn.hyperbolic import HyperbolicDisk, MobiusAut, rho
 
@@ -109,7 +109,7 @@ def test_search_mobius_equivariance_within_budget():
     m = MobiusAut(0.2 + 0.1j, 0.4)
     shift = rho(0.0, m(0j))
     base = bloch_radius_search(X)
-    moved = bloch_radius_search(mobius_image(X, m))
+    moved = bloch_radius_search(MobiusImage(X, m))
     assert moved.verdict.kind == base.verdict.kind
     assert abs(moved.best_inradius - base.best_inradius) <= shift + 1e-6
 

@@ -171,11 +171,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("case", sorted(p.name for p in GOLDEN.iterdir()))
-def test_cli_ifs_run_matches_golden_outputs(tmp_path, case):
-    # Outputs captured from the engine that evaluated each prefix F_n on
-    # its own; the prefix sweep must reproduce them byte for byte.
+def test_cli_matches_golden_outputs(tmp_path, case):
+    # Outputs captured before the engine and the report layer were
+    # rewritten; every command must reproduce them byte for byte.
     cfg = GOLDEN / case / "config.json"
-    assert main(["ifs-run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    command = json.loads(cfg.read_text(encoding="utf-8"))["command"]
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     for name in ("trace.csv", "report.json", "grid.csv"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
 

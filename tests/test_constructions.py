@@ -15,8 +15,8 @@ from diskdyn.constructions import (
 from diskdyn.domains import (
     EuclideanSubdisk,
     Horodisk,
+    MobiusImage,
     RDenseComplement,
-    mobius_image,
 )
 from diskdyn.errors import NumericError, PreconditionError
 from diskdyn.hyperbolic import MobiusAut, rho
@@ -157,7 +157,7 @@ def test_alternating_engine_sees_two_clusters():
 
 def test_alternating_builder_on_transported_domain():
     m = MobiusAut(0.1 + 0.2j, 0.3)
-    Y = mobius_image(Horodisk(1.0, 0.5), m)
+    Y = MobiusImage(Horodisk(1.0, 0.5), m)
     a = complex(Y.anchor)
     a1 = point_at_intrinsic_distance(Y, a, 1.0, 0.7)
     seq, steps = build_alternating_system(Y, a, a1, 6)

@@ -12,7 +12,6 @@ from diskdyn.domains import (
     MobiusImage,
     RDenseComplement,
     covering_with_basepoint,
-    mobius_image,
     parse_domain,
 )
 from diskdyn.errors import NumericError, PreconditionError
@@ -181,8 +180,7 @@ def test_rdense_inradius_bounded_by_mesh():
 def test_mobius_image_transport():
     m = MobiusAut(0.3 + 0.1j, 0.7)
     X = Horodisk(1.0, 0.5)
-    Y = mobius_image(X, m)
-    assert isinstance(Y, MobiusImage)
+    Y = MobiusImage(X, m)
     rng = random.Random(28)
     for _ in range(200):
         z = _rand_point(rng)
@@ -199,7 +197,7 @@ def test_mobius_image_transport():
 
 def test_mobius_image_of_identity_matches_base():
     X = EuclideanSubdisk(0j, 0.5)
-    Y = mobius_image(X, MobiusAut(0j, 0.0))
+    Y = MobiusImage(X, MobiusAut(0j, 0.0))
     assert Y.contains(0.3) and not Y.contains(0.6)
     assert Y.inradius_at(0j) == pytest.approx(X.inradius_at(0j), abs=1e-14)
 

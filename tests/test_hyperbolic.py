@@ -11,8 +11,6 @@ from diskdyn.hyperbolic import (
     DiskPoint,
     HyperbolicDisk,
     MobiusAut,
-    euclid_to_hyp,
-    hyp_to_euclid,
     rho,
     rho_grid,
 )
@@ -190,7 +188,7 @@ def test_from_euclidean_requires_compact_closure():
 
 
 def test_disk_conversion_helpers():
-    d = euclid_to_hyp(0j, 0.5)
+    d = HyperbolicDisk.from_euclidean(0j, 0.5)
     assert d.radius == pytest.approx(math.atanh(0.5), rel=1e-14)
-    center, radius = hyp_to_euclid(d)
+    center, radius = d.to_euclidean()
     assert abs(center) < 1e-14 and radius == pytest.approx(0.5, rel=1e-12)

@@ -155,6 +155,17 @@ def _killed_at_step_three():
     return seq
 
 
+def test_run_lost_tail_stays_undecided():
+    # Every probe point dies at step 3, so only steps 1 and 2 have a
+    # diameter; their minimum is no floor for the composites that follow.
+    # The maps applied to the lost points must not warn either.
+    trace, report = run(_killed_at_step_three())
+    assert math.isfinite(trace.steps[1].diameter)
+    assert all(math.isnan(s.diameter) for s in trace.steps[2:])
+    assert report.verdict.kind == "undecided"
+    assert report.verdict.diameter_floor is None
+
+
 @pytest.mark.parametrize(
     "seq, probe",
     [
@@ -171,9 +182,8 @@ def test_prefix_sweep_matches_per_row_evaluation(seq, probe):
     # same lost points; the 577-point rows split into blocks of 14, and the
     # 8321-point rows are one block each.
     pts = probe.points()
-    with np.errstate(invalid="ignore"):  # maps applied to lost (NaN) points
-        rows, errors = _evaluate_prefixes(seq, len(seq), pts)
-        refs = [_evaluate_grid(seq, n, pts) for n in range(1, len(seq) + 1)]
+    rows, errors = _evaluate_prefixes(seq, len(seq), pts)
+    refs = [_evaluate_grid(seq, n, pts) for n in range(1, len(seq) + 1)]
     assert rows.shape == (len(seq), pts.size)
     for n, (ref, ref_errors) in enumerate(refs, start=1):
         assert np.array_equal(rows[n - 1], ref, equal_nan=True), n
@@ -215,19 +225,20 @@ def test_random_system_maps_into_domain():
 
 def test_denjoy_wolff_interior_points():
     f = MapDescriptor((Affine(0.5, 0.2),))
-    limit, where = denjoy_wolff(f, 0.1)
+    limit, where, orbit = denjoy_wolff(f, 0.1)
     assert where == "interior"
     assert abs(limit - 0.4) < 1e-9
+    assert orbit[0] == f(0.1) and orbit[1] == f(orbit[0]) and orbit[-1] == limit
 
     g = MapDescriptor((Squaring(),))
-    limit, where = denjoy_wolff(g, 0.5)
+    limit, where, _orbit = denjoy_wolff(g, 0.5)
     assert where == "interior"
     assert abs(limit) < 1e-9
 
 
 def test_denjoy_wolff_boundary_point():
     f = MapDescriptor((Affine(0.5, 0.5),))
-    limit, where = denjoy_wolff(f, 0.0)
+    limit, where, _orbit = denjoy_wolff(f, 0.0)
     assert where == "boundary"
     assert abs(limit - 1.0) < 1e-12
 
@@ -238,7 +249,7 @@ def test_denjoy_wolff_start_independence():
     limits = []
     for _ in range(10):
         z0 = 0.8 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
-        limit, where = denjoy_wolff(f, z0)
+        limit, where, _orbit = denjoy_wolff(f, z0)
         assert where == "interior"
         limits.append(limit)
     base = limits[0]
