@@ -19,7 +19,7 @@ from .hyperbolic import (
     BOUNDARY_GUARD,
     DiskPoint,
     HyperbolicDisk,
-    rho,
+    modulus,
     rho_grid,
 )
 from .sampling import hyperbolic_lattice, witness_samples
@@ -108,14 +108,9 @@ class RadialStretch:
         return self.apply(z)
 
     def inverse_apply(self, z):
+        mag = modulus(z)
         inv = 1.0 / self.exponent - 1.0
-        if np.ndim(z):
-            z = np.asarray(z, dtype=complex)
-            mag = np.abs(z)
-            scale = np.power(mag, inv, out=np.zeros_like(mag), where=mag > 0)
-            return z * scale
-        z = complex(z)
-        return z * abs(z) ** inv if z != 0 else 0j
+        return z * np.power(mag, inv, out=np.zeros_like(mag), where=mag > 0)
 
     def radial_distance(self, r: float) -> float:
         """Image of the sphere rho(0, .) = r: its new radius about 0."""
@@ -139,8 +134,7 @@ class StretchedDomain(DomainModel):
         self.relatively_compact = base.relatively_compact
         self.expected_bloch = base.expected_bloch
         self.simply_connected = base.simply_connected
-        punctures = getattr(base, "punctures", None)
-        self._punctures = None if punctures is None else stretch.apply(punctures)
+        self.punctures = None if base.punctures is None else stretch.apply(base.punctures)
 
     def describe(self) -> str:
         return f"stretch({self.base.describe()},{self.stretch.exponent:g})"
@@ -149,20 +143,12 @@ class StretchedDomain(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(self.stretch.apply(complex(self.base.anchor)))
 
-    def contains(self, z) -> bool:
-        z = complex(z)
-        if not 1.0 - abs(z) >= BOUNDARY_GUARD:
-            return False
-        return self.base.contains(self.stretch.inverse_apply(z))
+    def contains(self, z):
+        inside = 1.0 - modulus(z) >= BOUNDARY_GUARD
+        return inside & self.base.contains(self.stretch.inverse_apply(z))
 
     def boundary_point(self, t):
         return self.stretch.apply(np.asarray(self.base.boundary_point(t)))
-
-    def inradius_at(self, a) -> float:
-        if self._punctures is None:
-            return super().inradius_at(a)
-        self._require_member(a)
-        return float(np.min(rho_grid(complex(a), self._punctures)))
 
     def probe_points(self, depth: float) -> list[complex]:
         base_depth = self.stretch.inverse_radial(depth)
@@ -174,25 +160,24 @@ class StretchedDomain(DomainModel):
 
 
 def witness_disk_verify(X: DomainModel, disk: HyperbolicDisk, samples: int = 10000) -> bool:
-    """True iff every point of a deterministic sample of the closed disk
-    (interior rings, center, and the boundary circle) lies in X."""
-    pts = witness_samples(disk.center, disk.radius, samples)
-    return all(X.contains(p) for p in pts)
+    """True iff the open disk lies in X: by puncture distances when the
+    complement of X is a point set, which no sample would hit, else on a
+    deterministic sample of the closed disk (rings, center and boundary)."""
+    if X.punctures is not None:
+        return bool(np.all(rho_grid(disk.center, X.punctures) >= disk.radius))
+    return bool(np.all(X.contains(witness_samples(disk.center, disk.radius, samples))))
 
 
-def _admissible(X: DomainModel, p: complex, depth: float) -> bool:
-    if not 1.0 - abs(p) >= BOUNDARY_GUARD:
-        return False
-    if rho(0.0, p) > depth + 1e-9:
-        return False
-    return X.contains(p)
+def _admissible(X: DomainModel, p, depth: float):
+    # rho(0, p) = artanh|p|, so the depth cap is a modulus bound.
+    m = modulus(p)
+    return (1.0 - m >= BOUNDARY_GUARD) & (m <= math.tanh(depth + 1e-9)) & X.contains(p)
 
 
 def _candidate_centers(X: DomainModel, budget: SearchBudget, depth: float) -> list[complex]:
-    pts: list[complex] = [0j, complex(X.anchor)]
-    pts.extend(hyperbolic_lattice(depth, budget.ring_step, budget.angular_cap).tolist())
-    pts.extend(complex(p) for p in X.probe_points(depth))
-    return [p for p in pts if _admissible(X, p, depth)]
+    lattice = hyperbolic_lattice(depth, budget.ring_step, budget.angular_cap)
+    pts = np.concatenate(([0j, complex(X.anchor)], lattice, X.probe_points(depth)))
+    return pts[_admissible(X, pts, depth)].tolist()
 
 
 def _prefer(value: float, center: complex, best_value: float, best_center: complex) -> bool:

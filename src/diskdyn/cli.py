@@ -175,7 +175,7 @@ def parse_config(text: str) -> RunConfig:
     command = doc.pop("command", None)
     if command is None:
         raise ConfigError("config key 'command' is required")
-    if command not in _COMMANDS:
+    if _check_str("command", command) not in _COMMANDS:
         raise ConfigError(
             f"config key 'command': unknown command {command!r}; "
             f"expected one of {', '.join(COMMANDS)}"

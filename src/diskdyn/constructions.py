@@ -296,7 +296,7 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
             return from_base(cmath.exp(-1j * theta) * g)
 
         thetas = 2.0 * math.pi * np.arange(scan) / scan
-        member = np.array([X.contains(candidate(t)) for t in thetas], dtype=bool)
+        member = X.contains(from_base(np.exp(-1j * thetas) * g))
         if member.all():
             theta_n = 0.0
         else:

@@ -1,7 +1,9 @@
 """Catalog of subdomains of the unit disk.
 
 Every entry models an open connected set X inside the disk and answers, at
-minimum, exact membership.  Simply connected entries carry conformal maps
+minimum, exact membership, of a point or of an array of points: moduli come
+from `hyperbolic.modulus`, so a point gets the same answer bit for bit alone
+and in an array.  Simply connected entries carry conformal maps
 to and from the disk (which transport the disk metric to the intrinsic
 metric of X); entries with unbounded inradius expose `deep_point`, a path
 of centers witnessing arbitrarily large inscribed metric disks.
@@ -23,6 +25,7 @@ from .hyperbolic import (
     DiskPoint,
     HyperbolicDisk,
     MobiusAut,
+    modulus,
     rho,
     rho_grid,
 )
@@ -42,8 +45,13 @@ class DomainModel:
     relatively_compact: bool
     expected_bloch: bool
     simply_connected: bool
+    # The complement of X in the disk when it is a finite point set.
+    punctures: np.ndarray | None = None
 
-    def contains(self, z) -> bool:
+    def contains(self, z):
+        """Membership of a point (a bool) or of each point of an array (a
+        bool array of its shape), by one formula with moduli from
+        `hyperbolic.modulus`, so both give a point the same answer."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -73,9 +81,12 @@ class DomainModel:
     def inradius_at(self, a) -> float:
         """Distance from a to the complement of X inside the disk.
 
-        Default: complement-distance sampling over the boundary curve.
+        Default: the distance to the nearest puncture when the complement
+        is a point set, else sampling over the boundary curve.
         """
         self._require_member(a)
+        if self.punctures is not None:
+            return float(np.min(rho_grid(complex(a), self.punctures)))
         return curve_min_rho(a, self.boundary_point)
 
     def deep_point(self, t: float) -> DiskPoint:
@@ -136,8 +147,8 @@ class EuclideanSubdisk(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(self._h)
 
-    def contains(self, z) -> bool:
-        return abs(complex(z) - self.center) < self.radius
+    def contains(self, z):
+        return modulus(z - self.center) < self.radius
 
     def riemann_to(self, u):
         v = self._t * u
@@ -190,8 +201,8 @@ class Horodisk(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(self._euclid_center)
 
-    def contains(self, z) -> bool:
-        return abs(complex(z) - self._euclid_center) < self.size
+    def contains(self, z):
+        return modulus(z - self._euclid_center) < self.size
 
     def _height(self, z) -> float:
         # Half-plane height of z; > h0 exactly when z is inside.
@@ -267,6 +278,7 @@ class RDenseComplement(DomainModel):
             rings.append(t * np.exp(1j * angles))
             k += 1
         self.punctures = np.concatenate(rings)
+        self._sorted = np.sort(self.punctures)
         self.covered_depth = (k - 1) * self.mesh
 
     def describe(self) -> str:
@@ -276,15 +288,10 @@ class RDenseComplement(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(0j)
 
-    def contains(self, z) -> bool:
-        z = complex(z)
-        if not 1.0 - abs(z) >= BOUNDARY_GUARD:
-            return False
-        return not bool(np.any(self.punctures == z))
-
-    def inradius_at(self, a) -> float:
-        self._require_member(a)
-        return float(np.min(rho_grid(complex(a), self.punctures)))
+    def contains(self, z):
+        # The first sorted puncture >= z is z exactly when z is a puncture.
+        near = self._sorted[np.searchsorted(self._sorted, z) % self._sorted.size]
+        return (1.0 - modulus(z) >= BOUNDARY_GUARD) & (modulus(near - z) > 0.0)
 
     def search_depth_cap(self) -> float | None:
         return self.covered_depth - self.mesh
@@ -305,6 +312,7 @@ class MobiusImage(DomainModel):
         self.relatively_compact = base.relatively_compact
         self.expected_bloch = base.expected_bloch
         self.simply_connected = base.simply_connected
+        self.punctures = None if base.punctures is None else aut(base.punctures)
 
     def describe(self) -> str:
         return f"mobius_image({self.base.describe()})"
@@ -313,9 +321,16 @@ class MobiusImage(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(self.aut(self.base.anchor))
 
-    def contains(self, z) -> bool:
-        w = self._inv(complex(z))
-        return abs(w) < 1.0 and self.base.contains(w)
+    def contains(self, z):
+        # The inverse map in real arithmetic: numpy rounds complex products
+        # and quotients unlike Python, and unlike itself at other lengths.
+        a, ph = self._inv.a, self._inv._phase
+        ur, ui = z.real - a.real, z.imag - a.imag
+        nr, ni = ph.real * ur - ph.imag * ui, ph.real * ui + ph.imag * ur
+        dr, di = 1.0 - a.real * z.real - a.imag * z.imag, a.imag * z.real - a.real * z.imag
+        d2 = dr * dr + di * di
+        w = (nr * dr + ni * di) / d2 + 1j * ((ni * dr - nr * di) / d2)
+        return (modulus(w) < 1.0) & self.base.contains(w)
 
     def riemann_to(self, u):
         return self.aut(self.base.riemann_to(u))
@@ -327,6 +342,9 @@ class MobiusImage(DomainModel):
         return self.aut(self.base.boundary_point(t))
 
     def inradius_at(self, a) -> float:
+        if self.punctures is not None:
+            # The mapped punctures, as witness verification measures them.
+            return super().inradius_at(a)
         return self.base.inradius_at(self._inv(complex(a)))
 
     def deep_point(self, t: float) -> DiskPoint:

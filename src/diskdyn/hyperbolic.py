@@ -42,6 +42,12 @@ class DiskPoint(complex):
         return f"DiskPoint({complex(self)!r})"
 
 
+def modulus(z):
+    """|z| of a point or of each point of an array, bit for bit as Python's
+    abs gives it (numpy's complex abs can differ in the last bit, hypot cannot)."""
+    return np.hypot(z.real, z.imag) if np.ndim(z) else abs(complex(z))
+
+
 def rho(z, w) -> float:
     """Distance artanh|(z - w)/(1 - conj(w) z)| between two disk points.
 

@@ -123,6 +123,28 @@ def test_witness_disk_verify():
     assert not witness_disk_verify(EuclideanSubdisk(0j, 0.5), bad)
 
 
+@pytest.mark.parametrize(
+    "image",
+    [
+        lambda net: net,
+        lambda net: StretchedDomain(net, RadialStretch(2.0)),
+        lambda net: MobiusImage(net, MobiusAut(0.2 + 0.1j, 0.4)),
+    ],
+    ids=["net", "stretched", "mobius"],
+)
+def test_witness_disk_verify_sees_punctures(image):
+    # No sample point lands on a puncture, so only the puncture distances
+    # can show that these disks are not in the domain.
+    X = image(RDenseComplement(0.5, 3.0))
+    assert X.inradius_at(0j) < 2.0
+    assert not witness_disk_verify(X, HyperbolicDisk(0j, 2.0))
+    # A disk of radius inradius_at is accepted, one 1e-9 larger is not.
+    for center in (0j, 0.2j):
+        inradius = X.inradius_at(center)
+        assert witness_disk_verify(X, HyperbolicDisk(center, inradius))
+        assert not witness_disk_verify(X, HyperbolicDisk(center, inradius + 1e-9))
+
+
 def test_qc_identity_is_exact_reproduction():
     X = Horodisk(1.0, 0.5)
     budget = SearchBudget(depth=4.0)

@@ -129,6 +129,15 @@ def test_cli_exit_code_two_on_bad_config(tmp_path):
     assert main(["dw", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command", [["dw"], {"name": "dw"}], ids=["list", "object"])
+def test_cli_exit_code_two_on_non_string_command(tmp_path, command):
+    doc = {"command": command, "map": "affine(0.5,0.2)", "z0": [0.1, 0]}
+    cfg = _write(tmp_path, "cmd.json", doc)
+    out = tmp_path / "res"
+    assert main(["dw", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_exit_code_two_on_command_mismatch(tmp_path):
     cfg = _write(tmp_path, "b.json", {"command": "bloch", "domain": "disk(0,0,0.5)"})
     assert main(["dw", "--config", cfg]) == 2

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from diskdyn.bloch import RadialStretch, StretchedDomain
 from diskdyn.domains import (
     DomainModel,
     EuclideanSubdisk,
@@ -235,3 +238,41 @@ def test_rho_x_requires_membership():
     X = Horodisk(1.0, 0.5)
     with pytest.raises(PreconditionError):
         X.rho_X(0.5, -0.5)
+
+
+def _membership_catalog():
+    net = RDenseComplement(0.5, 2.0)
+    horo = Horodisk(cmath.exp(0.7j), 0.5)
+    entries = [
+        EuclideanSubdisk(0.1 + 0.2j, 0.4),
+        net,
+        MobiusImage(horo, MobiusAut(0.3 + 0.1j, 0.7)),
+        MobiusImage(net, MobiusAut(-0.2 + 0.4j, 2.0)),
+        StretchedDomain(horo, RadialStretch(2.0)),
+        StretchedDomain(net, RadialStretch(1.7)),
+    ]
+    # Every size-0.5 horodisk passes exactly through 0.
+    entries += [Horodisk(cmath.exp(1j * a), 0.5) for a in (0.0, 0.7, 2.0, math.pi, 4.5)]
+    return entries
+
+
+@pytest.mark.parametrize("X", _membership_catalog(), ids=lambda X: X.describe())
+@given(
+    ts=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64),
+    picks=st.lists(st.integers(0, 10**6), max_size=16),
+    zs=st.lists(st.complex_numbers(max_magnitude=1.0), max_size=32),
+)
+def test_contains_answers_arrays_as_points(X, ts, picks, zs):
+    # Points exactly on edges: 0, punctures and boundary-curve samples.
+    pts = [0j, *zs]
+    if X.punctures is not None:
+        pts += [X.punctures[k % X.punctures.size] for k in picks]
+    else:
+        pts += list(X.boundary_point(np.array(ts)))
+    arr = np.array(pts, dtype=complex)
+    alone = [X.contains(complex(p)) for p in arr]
+    assert all(type(v) is bool for v in alone)
+    got = X.contains(arr)
+    assert got.shape == arr.shape and got.dtype == bool
+    assert got.tolist() == alone
+    assert X.contains(arr.reshape(1, -1)).tolist() == [alone]
