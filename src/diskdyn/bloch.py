@@ -123,7 +123,9 @@ class RadialStretch:
 class StretchedDomain(DomainModel):
     """Image of a catalog entry under a radial stretch.
 
-    Membership is exact via the inverse stretch; the inradius field uses
+    Membership goes through the inverse stretch, and the mapped punctures
+    are excluded exactly (the inverse stretch need not land back on a
+    base puncture); the inradius field uses
     the stretched complement directly (mapped punctures when the base
     complement is a point set, the mapped boundary curve otherwise).
     """
@@ -143,7 +145,7 @@ class StretchedDomain(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(self.stretch.apply(complex(self.base.anchor)))
 
-    def contains(self, z):
+    def _inside(self, z):
         inside = 1.0 - modulus(z) >= BOUNDARY_GUARD
         return inside & self.base.contains(self.stretch.inverse_apply(z))
 

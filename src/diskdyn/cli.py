@@ -276,21 +276,21 @@ def _bloch_results(rep) -> dict:
     }
 
 
-def _engine_results(trace, report) -> dict:
+def _engine_results(steps, report) -> dict:
     return {
         "verdict": report.verdict,
         "schwarz_max": report.schwarz_max,
         "steps": [
-            {**_fields(s, drop=("values", "point_errors")), "lost_points": len(s.point_errors)}
-            for s in trace.steps
+            {**_fields(s, drop=("values", "lost_at")), "lost_points": int(np.count_nonzero(s.lost_at))}
+            for s in steps
         ],
     }
 
 
-def _trace_rows(trace) -> list:
+def _trace_rows(steps) -> list:
     return [
         (step.n, idx, float(z.real), float(z.imag), float(step.diameter))
-        for step in trace.steps
+        for step in steps
         for idx, z in enumerate(step.values)
     ]
 
@@ -321,8 +321,8 @@ def _run_qc(options: dict):
 def _run_ifs(options: dict):
     X = parse_domain(options["domain"])
     seq = random_system(X, options["seed"], options["N"])
-    trace, report = run(seq, probe=ProbeSpec(**options["probe"]), tol=options["tol"])
-    return _engine_results(trace, report), _trace_rows(trace), seq
+    steps, report = run(seq, probe=ProbeSpec(**options["probe"]), tol=options["tol"])
+    return _engine_results(steps, report), _trace_rows(steps), seq
 
 
 def _run_t7(options: dict):
@@ -331,7 +331,7 @@ def _run_t7(options: dict):
     w0 = point_at_intrinsic_distance(X, a0, options["distance"], options["angle"])
     seq, steps = build_nonconstant_system(X, a0, w0, options["N"])
     marked = complex(steps[-1].marked_tilde)
-    trace, report = run(seq, probe=ProbeSpec(marked=(marked,)))
+    engine_steps, report = run(seq, probe=ProbeSpec(marked=(marked,)))
     f_zero = complex(compose_eval(seq, 0j))
     f_marked = complex(compose_eval(seq, marked))
     results = {
@@ -347,9 +347,9 @@ def _run_t7(options: dict):
             "pin_error_zero": abs(f_zero - a0),
             "pin_error_marked": abs(f_marked - w0),
         },
-        "engine": _engine_results(trace, report),
+        "engine": _engine_results(engine_steps, report),
     }
-    return results, _trace_rows(trace), seq
+    return results, _trace_rows(engine_steps), seq
 
 
 def _run_t8(options: dict):
@@ -360,7 +360,7 @@ def _run_t8(options: dict):
     else:
         value1 = complex(*options["value1"])
     seq, steps = build_alternating_system(X, base, value1, options["N"])
-    trace, report = run(seq, probe=ProbeSpec(marked=(base,)))
+    engine_steps, report = run(seq, probe=ProbeSpec(marked=(base,)))
     even_err = 0.0
     odd_err = 0.0
     for n in range(1, options["N"] + 1):
@@ -374,9 +374,9 @@ def _run_t8(options: dict):
         "value1": value1,
         "steps": [_fields(s, drop=("base", "descriptor")) for s in steps],
         "alternation": {"even_error": even_err, "odd_error": odd_err},
-        "engine": _engine_results(trace, report),
+        "engine": _engine_results(engine_steps, report),
     }
-    return results, _trace_rows(trace), seq
+    return results, _trace_rows(engine_steps), seq
 
 
 def _run_dw(options: dict):

@@ -24,6 +24,8 @@ from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, rho
 from .ifs import MapDescriptor, RiemannTo
 
 _CHECK_TOL = 1e-9
+# Deepest deep-point depth the nonconstant builder escalates to.
+_ESCALATION_CAP = 60.0
 
 
 def _next_depth(depth: float) -> float:
@@ -126,9 +128,7 @@ def _nonconstant_checks(
     return checks, dist_pair, dist_intr, dist_tilde
 
 
-def build_nonconstant_system(
-    X: DomainModel, a0, w0, n_steps: int, escalation_cap: float = 60.0
-):
+def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
     """Build maps f_1..f_N into X with F_n(0) = a0 and F_n(w_tilde_n) = w0.
 
     Requires 0 < rho_X(a0, w0) < 1/2 and a domain with a deep-point path
@@ -136,8 +136,8 @@ def build_nonconstant_system(
     pair through a covering pinned at the current anchor (rotated so the
     lift is a positive real), splits the lift through a degree-two
     Blaschke map centered at a deep point, and escalates the deep-point
-    depth until all five step inequalities hold.  Returns (descriptors,
-    steps).
+    depth (up to _ESCALATION_CAP) until all five step inequalities hold.
+    Returns (descriptors, steps).
 
     Double precision supports roughly twenty steps: past that the step
     slacks fall below the evaluation noise of near-boundary points and
@@ -187,15 +187,15 @@ def build_nonconstant_system(
             inradius = X.inradius_at(a_n)
             if all(checks.values()) and inradius > 1.0:
                 break
-            if depth >= escalation_cap:
+            if depth >= _ESCALATION_CAP:
                 failed = [k for k, ok in checks.items() if not ok]
                 if inradius <= 1.0:
                     failed.append("inradius")
                 raise NumericError(
-                    f"step {n}: escalation cap {escalation_cap!r} reached with "
+                    f"step {n}: escalation cap {_ESCALATION_CAP!r} reached with "
                     f"unsatisfied bounds {failed}"
                 )
-            depth = min(_next_depth(depth), escalation_cap)
+            depth = min(_next_depth(depth), _ESCALATION_CAP)
 
         descriptors.append(f)
         steps.append(

@@ -15,6 +15,7 @@ from the point to the complement of X within the disk.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from .sampling import curve_min_rho
 class DomainModel:
     """Common interface for catalog entries.
 
-    Subclasses must set the three flags and implement `contains`; the
+    Subclasses must set the three flags and implement `_inside`; the
     other operations have defaults that raise for entries lacking the
     corresponding structure (no conformal parameterization, no unbounded
     inradius), or that fall back to complement-distance sampling where a
@@ -51,8 +52,23 @@ class DomainModel:
     def contains(self, z):
         """Membership of a point (a bool) or of each point of an array (a
         bool array of its shape), by one formula with moduli from
-        `hyperbolic.modulus`, so both give a point the same answer."""
+        `hyperbolic.modulus`, so both give a point the same answer.  The
+        points of `punctures` are never members, whatever `_inside` says."""
+        inside = self._inside(z)
+        if self.punctures is None:
+            return inside
+        # The first sorted puncture >= z is z exactly when z is a puncture.
+        near = self._sorted_punctures[np.searchsorted(self._sorted_punctures, z) % self.punctures.size]
+        return inside & (modulus(near - z) > 0.0)
+
+    def _inside(self, z):
+        """Membership apart from the punctures, under the contract of
+        `contains`."""
         raise NotImplementedError
+
+    @functools.cached_property
+    def _sorted_punctures(self) -> np.ndarray:
+        return np.sort(self.punctures)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -147,7 +163,7 @@ class EuclideanSubdisk(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(self._h)
 
-    def contains(self, z):
+    def _inside(self, z):
         return modulus(z - self.center) < self.radius
 
     def riemann_to(self, u):
@@ -201,7 +217,7 @@ class Horodisk(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(self._euclid_center)
 
-    def contains(self, z):
+    def _inside(self, z):
         return modulus(z - self._euclid_center) < self.size
 
     def _height(self, z) -> float:
@@ -278,7 +294,6 @@ class RDenseComplement(DomainModel):
             rings.append(t * np.exp(1j * angles))
             k += 1
         self.punctures = np.concatenate(rings)
-        self._sorted = np.sort(self.punctures)
         self.covered_depth = (k - 1) * self.mesh
 
     def describe(self) -> str:
@@ -288,10 +303,8 @@ class RDenseComplement(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(0j)
 
-    def contains(self, z):
-        # The first sorted puncture >= z is z exactly when z is a puncture.
-        near = self._sorted[np.searchsorted(self._sorted, z) % self._sorted.size]
-        return (1.0 - modulus(z) >= BOUNDARY_GUARD) & (modulus(near - z) > 0.0)
+    def _inside(self, z):
+        return 1.0 - modulus(z) >= BOUNDARY_GUARD
 
     def search_depth_cap(self) -> float | None:
         return self.covered_depth - self.mesh
@@ -321,7 +334,7 @@ class MobiusImage(DomainModel):
     def anchor(self) -> DiskPoint:
         return DiskPoint(self.aut(self.base.anchor))
 
-    def contains(self, z):
+    def _inside(self, z):
         # The inverse map in real arithmetic: numpy rounds complex products
         # and quotients unlike Python, and unlike itself at other lengths.
         a, ph = self._inv.a, self._inv._phase

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .errors import NumericError, PreconditionError
 from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, rho, rho_grid
 from .sampling import ring_points
 
-# Orbit points this close to the unit circle abort with a per-point error.
+# Orbit points this close to the unit circle are lost: they become NaN, and
+# lost_at records the map that sent them there.
 ORBIT_GUARD = 1e-14
 
 # The prefix sweep applies a map to at most this many points per call
@@ -172,19 +173,17 @@ class ProbeSpec:
 
 @dataclass
 class StepRecord:
+    """Step n of a run: the values F_n on the probe grid and their
+    statistics over the live points.  lost_at[i] is 0 while probe point i
+    is live and k once map k sent it out of the guarded disk (its value is
+    then NaN)."""
+
     n: int
     values: np.ndarray
     diameter: float
     movement: float
     schwarz_slack: float
-    point_errors: dict = field(default_factory=dict)
-
-
-@dataclass
-class IFSTrace:
-    probe: ProbeSpec
-    points: np.ndarray
-    steps: list
+    lost_at: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,6 @@ class IFSVerdict:
 @dataclass(frozen=True)
 class ConvergenceReport:
     verdict: IFSVerdict
-    diameters: tuple
-    movements: tuple
     schwarz_max: float
 
 
@@ -226,34 +223,33 @@ def compose_eval(seq, z, n: int | None = None) -> DiskPoint:
     return DiskPoint(val)
 
 
-def _guard(vals: np.ndarray, alive: np.ndarray, errors: list, k: int) -> np.ndarray:
-    """Boundary guard after applying map k to a block of rows: live points
-    that left the guarded disk become NaN, die in alive (updated in place),
-    and get a message in their row's dict of errors."""
-    bad = alive & (~np.isfinite(vals) | (1.0 - np.abs(vals) < ORBIT_GUARD))
+def _guard(vals: np.ndarray, lost_at: np.ndarray, k: int) -> np.ndarray:
+    """Boundary guard after applying map k to a block of rows: points that
+    left the guarded disk become NaN, and the live ones among them record k
+    in lost_at (updated in place).  Lost points stay NaN under every map,
+    so only a block holding a bad point needs to look at lost_at."""
+    bad = ~np.isfinite(vals) | (1.0 - np.abs(vals) < ORBIT_GUARD)
     if not bad.any():
         return vals
-    for row, idx in zip(*np.nonzero(bad)):
-        errors[row][int(idx)] = f"orbit left the guarded disk applying map {k}"
-    alive &= ~bad
+    lost_at[bad & (lost_at == 0)] = k
     return np.where(bad, np.nan + 0j, vals)
 
 
 def _evaluate_grid(seq, n: int, points: np.ndarray):
-    """F_n on the probe grid with the boundary guard; dead points carry NaN
-    and a message naming the inner step that lost them.  The later maps
-    still run on those NaNs, with their invalid-value warnings silenced."""
-    vals = points.astype(complex)[None]
-    alive = np.ones(vals.shape, dtype=bool)
-    errors: list[dict[int, str]] = [{}]
+    """F_n on the probe grid with the boundary guard, and each point's
+    lost_at (0 when live, else the inner map that lost it; lost points
+    carry NaN).  The later maps still run on those NaNs, with their
+    invalid-value warnings silenced."""
+    vals = points.astype(complex)
+    lost_at = np.zeros(vals.shape, dtype=int)
     with np.errstate(invalid="ignore", divide="ignore"):
         for k in range(n, 0, -1):
-            vals = _guard(np.asarray(seq[k - 1](vals[0]), dtype=complex)[None], alive, errors, k)
-    return vals[0], errors[0]
+            vals = _guard(np.asarray(seq[k - 1](vals), dtype=complex), lost_at, k)
+    return vals, lost_at
 
 
 def _evaluate_prefixes(seq, N: int, points: np.ndarray):
-    """Rows F_1 ... F_N on the probe grid, each with its errors, as
+    """Rows F_1 ... F_N on the probe grid and their lost_at rows, as
     _evaluate_grid gives them one n at a time.
 
     The newest map is innermost, so F_n cannot reuse the values of F_{n-1}.
@@ -263,8 +259,7 @@ def _evaluate_prefixes(seq, N: int, points: np.ndarray):
     """
     P = points.size
     vals = np.empty((N, P), dtype=complex)
-    alive = np.ones((N, P), dtype=bool)
-    errors: list[dict[int, str]] = [{} for _ in range(N)]
+    lost_at = np.zeros((N, P), dtype=int)
     step = max(1, _SWEEP_BLOCK // P)
     with np.errstate(invalid="ignore", divide="ignore"):  # maps on lost (NaN) points
         for k in range(N, 0, -1):
@@ -272,24 +267,20 @@ def _evaluate_prefixes(seq, N: int, points: np.ndarray):
             for a in range(k - 1, N, step):
                 b = min(a + step, N)
                 block = np.asarray(seq[k - 1](vals[a:b].ravel()), dtype=complex)
-                vals[a:b] = _guard(block.reshape(b - a, P), alive[a:b], errors[a:b], k)
-    return vals, errors
-
-
-def _masked_pair_max(matrix: np.ndarray, valid: np.ndarray) -> float:
-    sub = matrix[np.ix_(valid, valid)]
-    return float(np.max(sub)) if sub.size else math.nan
+                vals[a:b] = _guard(block.reshape(b - a, P), lost_at[a:b], k)
+    return vals, lost_at
 
 
 def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: float = 1e-8):
     """Evaluate F_1 ... F_N on the probe grid and classify the tail.
 
-    Returns (IFSTrace, ConvergenceReport).  Every step records the
-    rho-diameter of the probe image, the movement against the previous
-    step, and (for holomorphic chains) the Schwarz-Pick slack, which must
-    stay at rounding level.  The composites come from one triangular sweep:
-    N vectorized map calls (more when N P exceeds _SWEEP_BLOCK) and
-    N (N + 1) / 2 point evaluations per probe point.
+    Returns (steps, ConvergenceReport), one StepRecord per n.  Every step
+    records, over its live points, the rho-diameter of the probe image,
+    the movement against the previous step, and (for holomorphic chains)
+    the Schwarz-Pick slack, which must stay at rounding level.  The
+    composites come from one triangular sweep: N vectorized map calls
+    (more when N P exceeds _SWEEP_BLOCK) and N (N + 1) / 2 point
+    evaluations per probe point.
     """
     probe = probe or ProbeSpec()
     N = len(seq) if n_steps is None else int(n_steps)
@@ -298,56 +289,40 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
     pts = probe.points()
     if pts.size == 0:
         # Vacuous probe: nothing to evaluate, nothing to decide.
-        verdict = IFSVerdict(kind="undecided")
-        return IFSTrace(probe, pts, []), ConvergenceReport(verdict, (), (), math.nan)
+        return [], ConvergenceReport(IFSVerdict(kind="undecided"), math.nan)
     holomorphic = all(d.holomorphic for d in seq[:N])
     base_pairs = rho_grid(pts[:, None], pts[None, :])
-    rows, row_errors = _evaluate_prefixes(seq, N, pts)
+    rows, lost_at = _evaluate_prefixes(seq, N, pts)
 
     records: list[StepRecord] = []
-    prev_vals = pts
+    prev_vals, prev_valid = pts, np.ones(pts.size, dtype=bool)
     for n in range(1, N + 1):
         vals = rows[n - 1]
-        valid = np.isfinite(vals)
-        if valid.sum() >= 2:
-            pair = rho_grid(vals[:, None], vals[None, :])
-            diameter = _masked_pair_max(pair, valid)
-        else:
-            pair = None
-            diameter = math.nan
+        valid = lost_at[n - 1] == 0
+        live = vals[valid]
+        diameter = slack = math.nan
+        if live.size >= 2:
+            pair = rho_grid(live[:, None], live[None, :])
+            diameter = float(np.max(pair))
+            if holomorphic:
+                slack = float(np.max(pair - base_pairs[np.ix_(valid, valid)]))
+                if slack > 1e-8:
+                    raise NumericError(
+                        f"contraction violated by holomorphic chain at step {n}: "
+                        f"slack {slack!r}"
+                    )
 
-        both = valid & np.isfinite(prev_vals)
+        both = valid & prev_valid
         movement = float(np.max(rho_grid(vals[both], prev_vals[both]))) if both.any() else math.nan
 
-        slack = math.nan
-        if holomorphic and pair is not None:
-            diffs = pair - base_pairs
-            slack = _masked_pair_max(diffs, valid)
-            if slack > 1e-8:
-                raise NumericError(
-                    f"contraction violated by holomorphic chain at step {n}: "
-                    f"slack {slack!r}"
-                )
-
-        records.append(
-            StepRecord(
-                n=n,
-                values=vals,
-                diameter=diameter,
-                movement=movement,
-                schwarz_slack=slack,
-                point_errors=row_errors[n - 1],
-            )
-        )
-        prev_vals = vals
+        records.append(StepRecord(n, vals, diameter, movement, slack, lost_at[n - 1]))
+        prev_vals, prev_valid = vals, valid
 
     report = ConvergenceReport(
         verdict=_classify(records, probe.marker_index, tol),
-        diameters=tuple(r.diameter for r in records),
-        movements=tuple(r.movement for r in records),
         schwarz_max=max((r.schwarz_slack for r in records if not math.isnan(r.schwarz_slack)), default=math.nan),
     )
-    return IFSTrace(probe=probe, points=pts, steps=records), report
+    return records, report
 
 
 def _single_linkage(values: list, threshold: float) -> list[list[int]]:
@@ -383,8 +358,7 @@ def _classify(records: list, marker_index: int, tol: float) -> IFSVerdict:
         and r.movement < tol
         for r in tail
     ):
-        final = records[-1].values
-        live = final[np.isfinite(final)]
+        live = records[-1].values[records[-1].lost_at == 0]
         constant = complex(np.mean(live))
         if float(np.max(rho_grid(constant, live))) < tol:
             return IFSVerdict("constant_limit", constant=constant)
@@ -395,7 +369,7 @@ def _classify(records: list, marker_index: int, tol: float) -> IFSVerdict:
     # into nothing but those), so every cluster must hold at least two steps.
     window = records[-12:]
     orbit = [(r.n, complex(r.values[marker_index])) for r in window
-             if np.isfinite(r.values[marker_index])]
+             if not r.lost_at[marker_index]]
     if len(orbit) >= 4:
         groups = _single_linkage([v for _, v in orbit], 10.0 * tol)
         if len(groups) >= 2 and all(len(g) >= 2 for g in groups):

@@ -13,6 +13,9 @@ import numpy as np
 from .hyperbolic import rho_grid
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# curve_min_rho's coarse scan size and golden-section step count.
+_CURVE_SCAN = 2048
+_CURVE_REFINE_ITERS = 60
 
 
 def ring_points(rho_radius: float, count: int, offset: float = 0.0) -> np.ndarray:
@@ -84,21 +87,22 @@ def golden_min(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
     return x, f(x)
 
 
-def curve_min_rho(point, curve, coarse: int = 2048, iters: int = 60) -> float:
+def curve_min_rho(point, curve) -> float:
     """Minimum hyperbolic distance from `point` to a closed curve.
 
     `curve` maps a parameter in [0, 1) to a disk point and must accept numpy
-    arrays.  A coarse scan locates the best arc, golden-section refines it.
+    arrays.  A coarse scan of _CURVE_SCAN parameters locates the best arc,
+    _CURVE_REFINE_ITERS golden-section steps refine it.
     """
-    ts = (np.arange(coarse) + 0.5) / coarse
+    ts = (np.arange(_CURVE_SCAN) + 0.5) / _CURVE_SCAN
     dists = rho_grid(complex(point), curve(ts))
     k = int(np.argmin(dists))
-    lo = (ts[k] - 1.5 / coarse)
-    hi = (ts[k] + 1.5 / coarse)
+    lo = (ts[k] - 1.5 / _CURVE_SCAN)
+    hi = (ts[k] + 1.5 / _CURVE_SCAN)
 
     def refined(t):
         # rho_grid, not rho: boundary-grazing samples must read +inf, not raise.
         return float(rho_grid(complex(point), curve(t % 1.0)))
 
-    _, best = golden_min(refined, lo, hi, iters)
+    _, best = golden_min(refined, lo, hi, _CURVE_REFINE_ITERS)
     return min(best, float(dists[k]))

@@ -83,9 +83,9 @@ def test_criterion_4_contracting_systems_converge():
     small = d.ProbeSpec(rho_radius=0.9, rings=4, spokes=5)
     for seed in range(20):
         seq = d.random_system(X, seed=seed, count=50)
-        trace, rep = d.run(seq)
+        steps, rep = d.run(seq)
         assert rep.verdict.kind == "constant_limit", seed
-        assert trace.steps[-1].diameter < 1e-6, seed
+        assert steps[-1].diameter < 1e-6, seed
         _, rep2 = d.run(seq, probe=small)
         assert rep2.verdict.kind == "constant_limit", seed
         assert abs(rep.verdict.constant - rep2.verdict.constant) < 1e-8, seed

@@ -153,6 +153,25 @@ def test_rdense_membership_excludes_punctures():
     assert X.contains(0j)
 
 
+@pytest.mark.parametrize(
+    "image",
+    [
+        lambda net: net,
+        lambda net: StretchedDomain(net, RadialStretch(2.0)),
+        lambda net: MobiusImage(net, MobiusAut(0.2 + 0.1j, 0.4)),
+    ],
+    ids=["net", "stretched", "mobius"],
+)
+def test_punctures_are_never_members(image):
+    # The wrappers' inverse maps need not land exactly on a base puncture,
+    # so a mapped puncture is excluded by its own exact hit.
+    Y = image(RDenseComplement(0.5, 3.0))
+    assert not Y.contains(Y.punctures).any()
+    assert not any(Y.contains(complex(p)) for p in Y.punctures[::97])
+    with pytest.raises(PreconditionError):
+        Y.inradius_at(complex(Y.punctures[7]))
+
+
 def test_rdense_net_property():
     # punctures form a mesh-net out to the covered depth
     X = RDenseComplement(0.5, 4.0)

@@ -5,10 +5,12 @@ import random
 import numpy as np
 import pytest
 
+from diskdyn.cli import _engine_results
 from diskdyn.domains import EuclideanSubdisk, Horodisk
 from diskdyn.errors import NumericError, PreconditionError
 from diskdyn.hyperbolic import Blaschke2, MobiusAut, rho
 from diskdyn.ifs import (
+    ORBIT_GUARD,
     _evaluate_grid,
     _evaluate_prefixes,
     Affine,
@@ -102,8 +104,8 @@ def test_probe_spec_validation_and_empty():
 def test_run_empty_probe_is_vacuous():
     X = EuclideanSubdisk(0j, 0.3)
     seq = random_system(X, seed=1, count=5)
-    trace, report = run(seq, probe=ProbeSpec(rings=0, spokes=0, origin=False))
-    assert trace.steps == []
+    steps, report = run(seq, probe=ProbeSpec(rings=0, spokes=0, origin=False))
+    assert steps == []
     assert report.verdict.kind == "undecided"
 
 
@@ -112,13 +114,14 @@ def test_run_random_systems_reach_constant_limit():
     contraction = math.tanh(math.atanh(0.3))  # Euclidean radius bound
     for seed in (0, 1, 2):
         seq = random_system(X, seed=seed, count=50)
-        trace, report = run(seq, tol=1e-8)
+        steps, report = run(seq, tol=1e-8)
+        diameters = [s.diameter for s in steps]
         assert report.verdict.kind == "constant_limit"
-        assert report.diameters[-1] < 1e-6
+        assert diameters[-1] < 1e-6
         assert report.schwarz_max <= 1e-8
         # compact-target contraction: once inside X, one more step shrinks
         # diameters at least by the subdisk's hyperbolic-vs-euclidean gap
-        for a, b in zip(report.diameters[1:6], report.diameters[2:7]):
+        for a, b in zip(diameters[1:6], diameters[2:7]):
             assert b <= max(contraction * a, 1e-12)
 
 
@@ -141,11 +144,10 @@ def test_run_rotation_chain_stays_non_constant():
 def test_run_guard_records_lost_points():
     # scale 0, offset 1: every point lands on the boundary at step one
     seq = [MapDescriptor((Affine(0.0, 1.0),))]
-    trace, report = run(seq)
-    step = trace.steps[0]
+    steps, report = run(seq)
+    step = steps[0]
     assert np.isnan(step.values).all()
-    assert step.point_errors
-    assert "map 1" in next(iter(step.point_errors.values()))
+    assert (step.lost_at == 1).all()
     assert report.verdict.kind == "undecided"
 
 
@@ -159,11 +161,68 @@ def test_run_lost_tail_stays_undecided():
     # Every probe point dies at step 3, so only steps 1 and 2 have a
     # diameter; their minimum is no floor for the composites that follow.
     # The maps applied to the lost points must not warn either.
-    trace, report = run(_killed_at_step_three())
-    assert math.isfinite(trace.steps[1].diameter)
-    assert all(math.isnan(s.diameter) for s in trace.steps[2:])
+    steps, report = run(_killed_at_step_three())
+    assert math.isfinite(steps[1].diameter)
+    assert all(math.isnan(s.diameter) for s in steps[2:])
     assert report.verdict.kind == "undecided"
     assert report.verdict.diameter_floor is None
+
+
+class _Cut:
+    """z -> z / 2, except that points with real part above `edge` land on
+    the circle at 1, as a boundary-grazing map's images would: a
+    holomorphic contraction on the points it keeps."""
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def __call__(self, z):
+        return np.where(np.real(z) > self.edge, 1.0 + 0j, 0.5 * z)
+
+
+def _partly_lost():
+    # Maps 3 and 6 cut the images of the maps inside them, which straddle
+    # their edges, so each step from 3 on loses some points but not all.
+    seq = random_system(EuclideanSubdisk(0.2, 0.4), seed=6, count=8)
+    seq[2] = MapDescriptor((_Cut(0.3),))
+    seq[5] = MapDescriptor((_Cut(0.35),))
+    return seq
+
+
+def _lost_by(seq, n, z):
+    """The map that loses z in F_n, by scalar evaluation (0 if none)."""
+    for k in range(n, 0, -1):
+        z = complex(seq[k - 1](z))
+        if 1.0 - abs(z) < ORBIT_GUARD:
+            return k
+    return 0
+
+
+def test_run_partial_losses_measure_live_points():
+    seq = _partly_lost()
+    probe = ProbeSpec(rings=3, spokes=5)
+    pts = probe.points()
+    steps, report = run(seq, probe=probe)
+    results = _engine_results(steps, report)
+    lost_counts = [int(np.count_nonzero(s.lost_at)) for s in steps]
+    assert lost_counts[:2] == [0, 0]
+    assert all(0 < c < pts.size for c in lost_counts[2:])
+    assert {k for s in steps for k in s.lost_at.tolist()} == {0, 3, 6}
+    prev = pts
+    for s, out in zip(steps, results["steps"]):
+        assert s.lost_at.tolist() == [_lost_by(seq, s.n, z) for z in pts], s.n
+        assert np.array_equal(s.lost_at == 0, np.isfinite(s.values)), s.n
+        assert out["lost_points"] == np.isnan(s.values).sum(), s.n
+        live = [i for i in range(pts.size) if not s.lost_at[i]]
+        pairs = [(i, j) for i in live for j in live]
+        diameter = max(rho(s.values[i], s.values[j]) for i, j in pairs)
+        slack = max(rho(s.values[i], s.values[j]) - rho(pts[i], pts[j]) for i, j in pairs)
+        movement = max(rho(s.values[i], prev[i]) for i in live if np.isfinite(prev[i]))
+        assert abs(s.diameter - diameter) <= 1e-12, s.n
+        assert abs(s.schwarz_slack - slack) <= 1e-12, s.n
+        assert abs(s.movement - movement) <= 1e-12, s.n
+        prev = s.values
+    assert report.schwarz_max == max(s.schwarz_slack for s in steps)
 
 
 @pytest.mark.parametrize(
@@ -173,21 +232,22 @@ def test_run_lost_tail_stays_undecided():
         (random_system(Horodisk(cmath.exp(2.2j), 0.5), seed=11, count=20), ProbeSpec()),
         ([MapDescriptor((Affine(0.0, 1.0),))], ProbeSpec()),
         (_killed_at_step_three(), ProbeSpec(rings=3, spokes=5)),
+        (_partly_lost(), ProbeSpec(rings=3, spokes=5)),
         (random_system(Horodisk(cmath.exp(0.4j), 0.6), seed=2, count=3), ProbeSpec(rings=64, spokes=130)),
     ],
-    ids=["disk", "horodisk", "guard", "guard_inner", "one_row_blocks"],
+    ids=["disk", "horodisk", "guard", "guard_inner", "partial", "one_row_blocks"],
 )
 def test_prefix_sweep_matches_per_row_evaluation(seq, probe):
     # Row n of the sweep is F_n evaluated on its own, bit for bit, with the
     # same lost points; the 577-point rows split into blocks of 14, and the
     # 8321-point rows are one block each.
     pts = probe.points()
-    rows, errors = _evaluate_prefixes(seq, len(seq), pts)
+    rows, lost_at = _evaluate_prefixes(seq, len(seq), pts)
     refs = [_evaluate_grid(seq, n, pts) for n in range(1, len(seq) + 1)]
-    assert rows.shape == (len(seq), pts.size)
-    for n, (ref, ref_errors) in enumerate(refs, start=1):
+    assert rows.shape == lost_at.shape == (len(seq), pts.size)
+    for n, (ref, ref_lost_at) in enumerate(refs, start=1):
         assert np.array_equal(rows[n - 1], ref, equal_nan=True), n
-        assert errors[n - 1] == ref_errors, n
+        assert np.array_equal(lost_at[n - 1], ref_lost_at), n
 
 
 def test_run_step_count_bounds():
