@@ -86,10 +86,6 @@ class RadialStretch:
 
     exponent: float
 
-    # Not a holomorphic map for exponent > 1; composition engines must not
-    # apply Schwarz-Pick reasoning to it.
-    holomorphic = False
-
     def __post_init__(self):
         if not float(self.exponent) >= 1.0:
             raise PreconditionError(
@@ -103,9 +99,6 @@ class RadialStretch:
     def _scalar(self, z):
         z = complex(z)
         return z * abs(z) ** (self.exponent - 1.0)
-
-    def __call__(self, z):
-        return self.apply(z)
 
     def inverse_apply(self, z):
         mag = modulus(z)

@@ -173,13 +173,14 @@ def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
         while True:
             try:
                 a_n = complex(X.deep_point(depth))
+                splitter = Blaschke2(a_n)
+                w_tilde, w_n = splitter.preimages(lift)
             except (BoundaryError, NumericError) as exc:
                 raise NumericError(
-                    f"step {n}: deep point at depth {depth!r} hit the "
-                    "boundary guard before the step inequalities held"
+                    f"step {n}: deep point at depth {depth!r} or its preimage "
+                    "hit the boundary guard before the step inequalities held "
+                    "(the double-precision limit)"
                 ) from exc
-            splitter = Blaschke2(a_n)
-            w_tilde, w_n = splitter.preimages(lift)
             f = MapDescriptor((splitter, aligner, RiemannTo(X)), target=X)
             checks, dist_pair, dist_intr, dist_tilde = _nonconstant_checks(
                 n, f, a_prev, w_prev, a_n, complex(w_n), w_tilde, d_prev, d0, X
@@ -265,6 +266,13 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
     base under f_n lies in X: candidates sweep a hyperbolic circle about
     base, which must meet X.  Even composites return base to itself, odd
     ones to value1.  Returns (descriptors, steps).
+
+    Double precision supports about 27 steps: the circle radius grows by
+    about 0.27 a step, so the new points near the unit circle (1 - |a_n|
+    is about 6e-8 at step 27 on horodisk(pi/4,0.3)).  Rounding in rho
+    there reaches the checks' tolerance: from step 28 the circle check
+    (then the pins) fails on some horodisks, and the builder raises
+    NumericError.
     """
     if not X.simply_connected:
         raise PreconditionError(f"{X.describe()} has no single-valued parameterization")

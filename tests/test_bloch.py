@@ -38,7 +38,6 @@ def test_radial_stretch_basics():
             math.atanh(math.tanh(r) ** 2), rel=1e-12
         )
         assert S.inverse_radial(S.radial_distance(r)) == pytest.approx(r, rel=1e-10)
-    assert not S.holomorphic
 
 
 def test_radial_stretch_validation():

@@ -144,13 +144,14 @@ def test_cli_exit_code_two_on_command_mismatch(tmp_path):
 
 
 def test_cli_exit_code_three_on_numeric_failure(tmp_path):
-    # a pure rotation chain never settles: undecided orbits are numeric errors
+    # a contraction this slow does not settle in 100 steps: undecided
+    # orbits are numeric errors
     cfg = _write(
         tmp_path,
-        "rot.json",
+        "slow.json",
         {
             "command": "dw",
-            "map": "mobius(0,0,1.0)|mobius(0,0,0.7)",
+            "map": "affine(0.999999,0)",
             "z0": [0.5, 0],
             "N": 100,
         },

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -124,6 +125,36 @@ def test_nonconstant_builder_rejections():
     far = point_at_intrinsic_distance(X, a0, 0.8)
     with pytest.raises(PreconditionError):
         build_nonconstant_system(X, a0, far, 5)  # beyond 1/2
+
+
+def test_nonconstant_builder_precision_limit_is_numeric_error():
+    # At depth 17 the splitter's big preimage rounds to 0.9999999999999992,
+    # inside the boundary guard: the double-precision limit, not bad input.
+    X = Horodisk(1.0, 0.4)
+    a0 = complex(X.anchor)
+    w0 = point_at_intrinsic_distance(X, a0, 0.5)
+    with pytest.raises(NumericError, match="double-precision limit"):
+        build_nonconstant_system(X, a0, w0, 20)
+
+
+def test_builders_sweep_horodisk_tangencies_and_sizes():
+    # Tangencies at eighths of the circle, sizes 0.3-0.7, the CLI's
+    # default distances: every chain is accepted and both builders finish.
+    failures = []
+    for k in range(8):
+        for size in (0.3, 0.4, 0.5, 0.6, 0.7):
+            X = Horodisk(cmath.exp(2j * math.pi * k / 8), size)
+            a0 = complex(X.anchor)
+            for name, build, w0 in (
+                ("t7", build_nonconstant_system, point_at_intrinsic_distance(X, a0, 0.3)),
+                ("t8", build_alternating_system,
+                 point_at_intrinsic_distance(X, a0, 1.0, math.pi / 3.0)),
+            ):
+                try:
+                    build(X, a0, w0, 20)
+                except (PreconditionError, NumericError) as exc:
+                    failures.append((name, X.describe(), str(exc)))
+    assert failures == []
 
 
 def test_alternating_builder_period_two():

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskdyn.bloch import RadialStretch, StretchedDomain
@@ -295,3 +295,31 @@ def test_contains_answers_arrays_as_points(X, ts, picks, zs):
     assert got.shape == arr.shape and got.dtype == bool
     assert got.tolist() == alone
     assert X.contains(arr.reshape(1, -1)).tolist() == [alone]
+
+
+def _parameterized_catalog():
+    disk = EuclideanSubdisk(0.1 + 0.2j, 0.4)
+    horos = [
+        Horodisk(cmath.exp(2j * math.pi * k / 8), size)
+        for k in range(8)
+        for size in (0.3, 0.4, 0.5, 0.6, 0.7)
+    ]
+    return [
+        disk,
+        *horos,
+        MobiusImage(Horodisk(cmath.exp(0.7j), 0.5), MobiusAut(0.3 + 0.1j, 0.7)),
+        MobiusImage(disk, MobiusAut(-0.2 + 0.4j, 2.0)),
+    ]
+
+
+@pytest.mark.parametrize("X", _parameterized_catalog(), ids=lambda X: X.describe())
+@settings(max_examples=20)
+@given(r=st.floats(0.0, 1.0 - 1e-9), phase=st.floats(0.0, 2.0 * math.pi))
+def test_riemann_to_maps_into_domain(X, r, phase):
+    # A chain into X is accepted by its shape (self-maps, then RiemannTo(X)),
+    # so riemann_to must land in X up to 1e-9 of the circle, in array and
+    # in point arithmetic.  Each example checks two rings of 256 points.
+    ring = np.exp(1j * (phase + 2.0 * math.pi * np.arange(256) / 256))
+    u = np.concatenate([r * ring, (1.0 - 1e-9) * ring])
+    assert X.contains(X.riemann_to(u)).all()
+    assert all(X.contains(complex(X.riemann_to(complex(v)))) for v in u[::8])

@@ -55,6 +55,23 @@ def test_descriptor_target_validation():
         MapDescriptor((Affine(0.5, 0.2),), target=X)  # image reaches 0.7
 
 
+def test_descriptor_target_needs_self_maps_then_riemann_to():
+    X = Horodisk(1.0, 0.4)
+    Y = EuclideanSubdisk(0j, 0.3)
+    for chain in (
+        (Blaschke2(0.5), MobiusAut(0.2j, 1.0), Squaring(), RiemannTo(X)),
+        (RiemannTo(X),),
+    ):
+        assert MapDescriptor(chain, target=X).chain == chain
+    for chain in (
+        (MobiusAut(0.2j), RiemannTo(Y)),  # another domain's parameterization
+        (RiemannTo(X), Squaring()),  # parameterization not last
+        (lambda z: 0.5 * z, RiemannTo(X)),  # a piece nothing validated
+    ):
+        with pytest.raises(PreconditionError, match="followed by RiemannTo"):
+            MapDescriptor(chain, target=X)
+
+
 def test_compose_eval_two_blaschke_oracle():
     # exact rational oracle: both maps z(z - 0.9)/(1 - 0.9 z), start 1/2
     seq = [MapDescriptor((Blaschke2(0.9),)), MapDescriptor((Blaschke2(0.9),))]
@@ -321,8 +338,23 @@ def test_denjoy_wolff_rejects_automorphism():
         denjoy_wolff(MapDescriptor((MobiusAut(0.3, 0.2),)), 0.1)
 
 
+@pytest.mark.parametrize(
+    "chain",
+    [
+        (MobiusAut(0.3 + 0.1j, 0.4), MobiusAut(0.3 + 0.1j, 0.4).inverse()),
+        (MobiusAut.rotation(1.0), MobiusAut.rotation(0.7)),
+        (Affine(-1.0, 0), MobiusAut(0.2j, 0.5)),
+    ],
+    ids=["inverse_pair", "rotations", "affine_rotation"],
+)
+def test_denjoy_wolff_rejects_automorphism_chains(chain):
+    # every piece an automorphism: the chain is one, whatever it composes to
+    with pytest.raises(PreconditionError):
+        denjoy_wolff(MapDescriptor(chain), 0.2j)
+
+
 def test_denjoy_wolff_undecided_is_numeric_error():
-    # two rotations compose to a rotation: the orbit never settles
-    f = MapDescriptor((MobiusAut.rotation(1.0), MobiusAut.rotation(0.7)))
+    # a contraction this slow does not settle in 200 steps
+    f = MapDescriptor((Affine(0.999999, 0),))
     with pytest.raises(NumericError):
         denjoy_wolff(f, 0.5, n_steps=200)
