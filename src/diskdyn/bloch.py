@@ -20,7 +20,8 @@ from .hyperbolic import (
     DiskPoint,
     HyperbolicDisk,
     modulus,
-    rho_grid,
+    rho_of,
+    sinh2_rho,
 )
 from .sampling import hyperbolic_lattice, witness_samples
 
@@ -94,11 +95,7 @@ class RadialStretch:
         object.__setattr__(self, "exponent", float(self.exponent))
 
     def apply(self, z):
-        return z * np.abs(z) ** (self.exponent - 1.0) if np.ndim(z) else self._scalar(z)
-
-    def _scalar(self, z):
-        z = complex(z)
-        return z * abs(z) ** (self.exponent - 1.0)
+        return z * np.power(modulus(z), self.exponent - 1.0)
 
     def inverse_apply(self, z):
         mag = modulus(z)
@@ -159,7 +156,7 @@ def witness_disk_verify(X: DomainModel, disk: HyperbolicDisk, samples: int = 100
     complement of X is a point set, which no sample would hit, else on a
     deterministic sample of the closed disk (rings, center and boundary)."""
     if X.punctures is not None:
-        return bool(np.all(rho_grid(disk.center, X.punctures) >= disk.radius))
+        return rho_of(np.min(sinh2_rho(disk.center, X.punctures))) >= disk.radius
     return bool(np.all(X.contains(witness_samples(disk.center, disk.radius, samples))))
 
 

@@ -28,7 +28,8 @@ from .hyperbolic import (
     MobiusAut,
     modulus,
     rho,
-    rho_grid,
+    rho_of,
+    sinh2_rho,
 )
 from .sampling import curve_min_rho
 
@@ -102,7 +103,7 @@ class DomainModel:
         """
         self._require_member(a)
         if self.punctures is not None:
-            return float(np.min(rho_grid(complex(a), self.punctures)))
+            return rho_of(np.min(sinh2_rho(complex(a), self.punctures)))
         return curve_min_rho(a, self.boundary_point)
 
     def deep_point(self, t: float) -> DiskPoint:

@@ -3,7 +3,8 @@
 The metric used throughout has density 1/(1 - |z|^2), so the distance from 0
 to a point at modulus r is artanh(r).  Map formulas are written with plain
 arithmetic operators only, so every callable here evaluates elementwise on
-numpy arrays as well as on python complex scalars.
+numpy arrays as well as on python complex scalars.  Every distance comes
+from one kernel, `sinh2_rho`.
 """
 from __future__ import annotations
 
@@ -48,45 +49,53 @@ def modulus(z):
     return np.hypot(z.real, z.imag) if np.ndim(z) else abs(complex(z))
 
 
-def rho(z, w) -> float:
-    """Distance artanh|(z - w)/(1 - conj(w) z)| between two disk points.
+def sinh2_rho(z, w):
+    """sinh^2 rho(z, w) = |z - w|^2 / ((1 - |z|^2)(1 - |w|^2)), the one
+    distance kernel: a float for a pair of points, a float array over
+    broadcast arrays; +inf where a point is on or outside the unit circle.
 
-    The denominator-minus-numerator gap is evaluated through the identity
-    |1 - conj(w) z|^2 - |z - w|^2 = (1 - |z|^2)(1 - |w|^2), which avoids
-    cancellation when the pseudo-hyperbolic quotient approaches 1.
+    Computed in real arithmetic from moduli as `modulus` gives them, so a
+    pair gets the same bits alone and inside an array, and swapping z and
+    w changes no bit.  It increases with rho: compare, maximize and
+    minimize in it, and convert a reported number once with `rho_of`.
     """
-    z = complex(z)
-    w = complex(w)
-    num = abs(z - w)
-    if num == 0.0:
-        return 0.0
-    den = abs(1.0 - w.conjugate() * z)
-    az = abs(z)
-    aw = abs(w)
-    gap = (1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw) / (den + num)
-    if gap <= 0.0:
+    # A pair of plain complex numbers skips the dispatch: np.ndim alone
+    # costs several times the arithmetic of the point path.
+    if not (type(z) is complex and type(w) is complex):
+        if np.ndim(z) or np.ndim(w):
+            z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+            az, aw = modulus(z), modulus(w)
+            gz, gw = (1.0 - az) * (1.0 + az), (1.0 - aw) * (1.0 + aw)
+            # A factor that is not positive (or NaN) becomes 0: its pairs read inf.
+            gap = np.where(gz > 0.0, gz, 0.0) * np.where(gw > 0.0, gw, 0.0)
+            d = modulus(z - w)
+            return np.divide(d * d, gap, out=np.full(gap.shape, np.inf), where=gap > 0.0)
+        z, w = complex(z), complex(w)
+    az, aw = abs(z), abs(w)
+    gz, gw = (1.0 - az) * (1.0 + az), (1.0 - aw) * (1.0 + aw)
+    if not (gz > 0.0 and gw > 0.0):
+        return math.inf
+    d = abs(z - w)
+    return d * d / (gz * gw)
+
+
+def rho_of(q: float) -> float:
+    """The distance whose sinh^2 is q."""
+    return math.asinh(math.sqrt(q))
+
+
+def rho(z, w) -> float:
+    """Distance artanh|(z - w)/(1 - conj(w) z)| between two disk points,
+    as asinh of the square root of `sinh2_rho`."""
+    q = sinh2_rho(complex(z), complex(w))
+    if not math.isfinite(q):
         raise NumericError(f"distance between {z!r} and {w!r} is not finite")
-    return 0.5 * math.log1p(2.0 * num / gap)
+    return rho_of(q)
 
 
 def rho_grid(z, w):
-    """Vectorized `rho` with numpy broadcasting; returns a float array.
-
-    Unlike the scalar form, inputs on (or marginally outside) the unit
-    circle yield +inf rather than raising, so curve scans that graze the
-    boundary stay total.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    num = np.abs(z - w)
-    den = np.abs(1.0 - np.conjugate(w) * z)
-    az = np.abs(z)
-    aw = np.abs(w)
-    gap = (1.0 - az) * (1.0 + az) * (1.0 - aw) * (1.0 + aw) / (den + num)
-    num, gap = np.broadcast_arrays(num, gap)
-    ok = gap > 0
-    ratio = np.divide(2.0 * num, gap, out=np.zeros_like(num), where=ok & (num > 0))
-    return np.where(ok, 0.5 * np.log1p(ratio), np.inf)
+    """`rho` over broadcast arrays, +inf on or outside the unit circle."""
+    return np.arcsinh(np.sqrt(sinh2_rho(z, w)))
 
 
 @dataclass(frozen=True)

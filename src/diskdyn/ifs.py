@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, rho, rho_grid
+from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, rho, rho_of, sinh2_rho
 from .sampling import ring_points
 
 # Orbit points this close to the unit circle are lost: they become NaN, and
@@ -273,7 +273,7 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
     if pts.size == 0:
         # Vacuous probe: nothing to evaluate, nothing to decide.
         return [], ConvergenceReport(IFSVerdict(kind="undecided"), math.nan)
-    base_pairs = rho_grid(pts[:, None], pts[None, :])
+    base = sinh2_rho(pts[:, None], pts[None, :])
     rows, lost_at = _evaluate_prefixes(seq, N, pts)
 
     records: list[StepRecord] = []
@@ -284,9 +284,14 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
         live = vals[valid]
         diameter = slack = math.nan
         if live.size >= 2:
-            pair = rho_grid(live[:, None], live[None, :])
-            diameter = float(np.max(pair))
-            slack = float(np.max(pair - base_pairs[np.ix_(valid, valid)]))
+            q = sinh2_rho(live[:, None], live[None, :])
+            q_base = base if live.size == pts.size else base[np.ix_(valid, valid)]
+            diameter = rho_of(np.max(q))
+            # Only pairs that moved apart need distances; the diagonal gives 0.0.
+            grown = q > q_base
+            slack = float(np.max(
+                np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])), initial=0.0
+            ))
             if slack > 1e-8:
                 raise NumericError(
                     f"contraction violated by holomorphic chain at step {n}: "
@@ -294,7 +299,7 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
                 )
 
         both = valid & prev_valid
-        movement = float(np.max(rho_grid(vals[both], prev_vals[both]))) if both.any() else math.nan
+        movement = rho_of(np.max(sinh2_rho(vals[both], prev_vals[both]))) if both.any() else math.nan
 
         records.append(StepRecord(n, vals, diameter, movement, slack, lost_at[n - 1]))
         prev_vals, prev_valid = vals, valid
@@ -341,7 +346,7 @@ def _classify(records: list, marker_index: int, tol: float) -> IFSVerdict:
     ):
         live = records[-1].values[records[-1].lost_at == 0]
         constant = complex(np.mean(live))
-        if float(np.max(rho_grid(constant, live))) < tol:
+        if rho_of(np.max(sinh2_rho(constant, live))) < tol:
             return IFSVerdict("constant_limit", constant=constant)
 
     # Alternation: cluster the marked-point orbit over the last <= 12 steps;

@@ -1,8 +1,9 @@
 """Deterministic sampling helpers.
 
 Hyperbolic lattices and ring grids for searches, low-discrepancy disk
-samples for witness verification, and a scalar golden-section minimizer.
-All outputs depend only on the arguments, never on global state.
+samples for witness verification, and zoomed scans for the distance to
+a boundary curve.  All outputs depend only on the arguments, never on
+global state.
 """
 from __future__ import annotations
 
@@ -10,12 +11,14 @@ import math
 
 import numpy as np
 
-from .hyperbolic import rho_grid
+from .hyperbolic import rho_of, sinh2_rho
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# curve_min_rho's coarse scan size and golden-section step count.
+# curve_min_rho's points per scan and number of scans.  Three scans leave
+# a relative error near 1e-10 at points close to the curve; four reach
+# the rounding floor of the curve's own evaluation.
 _CURVE_SCAN = 2048
-_CURVE_REFINE_ITERS = 60
+_CURVE_SCANS = 4
 
 
 def ring_points(rho_radius: float, count: int, offset: float = 0.0) -> np.ndarray:
@@ -68,41 +71,21 @@ def witness_samples(center, rho_radius: float, count: int) -> np.ndarray:
     return (base + center) / (1.0 + center.conjugate() * base)
 
 
-def golden_min(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def curve_min_rho(point, curve) -> float:
     """Minimum hyperbolic distance from `point` to a closed curve.
 
-    `curve` maps a parameter in [0, 1) to a disk point and must accept numpy
-    arrays.  A coarse scan of _CURVE_SCAN parameters locates the best arc,
-    _CURVE_REFINE_ITERS golden-section steps refine it.
+    `curve` maps parameters in [0, 1) to disk points and must accept numpy
+    arrays.  A scan of _CURVE_SCAN parameters over the whole curve finds
+    the nearest sample; each further scan, _CURVE_SCANS in all, covers the
+    three spacings around the previous one's nearest sample with
+    _CURVE_SCAN parameters.  Samples on or past the unit circle read +inf.
     """
-    ts = (np.arange(_CURVE_SCAN) + 0.5) / _CURVE_SCAN
-    dists = rho_grid(complex(point), curve(ts))
-    k = int(np.argmin(dists))
-    lo = (ts[k] - 1.5 / _CURVE_SCAN)
-    hi = (ts[k] + 1.5 / _CURVE_SCAN)
-
-    def refined(t):
-        # rho_grid, not rho: boundary-grazing samples must read +inf, not raise.
-        return float(rho_grid(complex(point), curve(t % 1.0)))
-
-    _, best = golden_min(refined, lo, hi, _CURVE_REFINE_ITERS)
-    return min(best, float(dists[k]))
+    lo, width = 0.0, 1.0
+    best = math.inf
+    for _ in range(_CURVE_SCANS):
+        ts = lo + width * (np.arange(_CURVE_SCAN) + 0.5) / _CURVE_SCAN
+        q = sinh2_rho(point, curve(ts % 1.0))
+        k = int(np.argmin(q))
+        best = min(best, float(q[k]))
+        lo, width = ts[k] - 1.5 * width / _CURVE_SCAN, 3.0 * width / _CURVE_SCAN
+    return rho_of(best)

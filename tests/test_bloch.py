@@ -2,7 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskdyn.bloch import (
     RadialStretch,
@@ -44,6 +47,19 @@ def test_radial_stretch_validation():
     with pytest.raises(PreconditionError):
         RadialStretch(0.5)
     assert RadialStretch(1.0).apply(0.3 + 0.1j) == 0.3 + 0.1j
+
+
+@given(
+    zs=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=64),
+    exponent=st.floats(1.0, 4.0),
+)
+def test_radial_stretch_apply_arrays_as_points(zs, exponent):
+    # A point stretched alone and inside an array gets the same bits.
+    S = RadialStretch(exponent)
+    arr = np.array(zs, dtype=complex)
+    got = S.apply(arr)
+    for k, z in enumerate(zs):
+        assert got[k] == S.apply(arr[k]) == S.apply(z)
 
 
 def test_stretched_domain_membership():

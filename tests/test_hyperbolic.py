@@ -2,8 +2,11 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskdyn.errors import BoundaryError, NumericError, PreconditionError
 from diskdyn.hyperbolic import (
@@ -13,6 +16,7 @@ from diskdyn.hyperbolic import (
     MobiusAut,
     rho,
     rho_grid,
+    sinh2_rho,
 )
 
 
@@ -55,6 +59,48 @@ def test_rho_grid_matches_scalar_and_absorbs_boundary():
     with pytest.raises(NumericError):
         rho(0.0, 1.0)
     assert rho_grid(np.array([0.0]), np.array([1.0 + 0j]))[0] == math.inf
+
+
+_POINTS = st.lists(st.complex_numbers(max_magnitude=1.5), min_size=1, max_size=24)
+
+
+@given(zs=_POINTS, ws=_POINTS)
+def test_sinh2_rho_arrays_match_pairs_bit_for_bit(zs, ws):
+    # One kernel: every entry of the broadcast array is the value the pair
+    # gets alone, and swapping the arguments changes no bit.  Points on or
+    # past the circle read +inf in both.
+    z, w = np.array(zs, dtype=complex), np.array(ws, dtype=complex)
+    q = sinh2_rho(z[:, None], w[None, :])
+    assert q.shape == (z.size, w.size) and q.dtype == float
+    for i, a in enumerate(zs):
+        for j, b in enumerate(ws):
+            assert q[i, j] == sinh2_rho(a, b) == sinh2_rho(b, a) == sinh2_rho(z[i], w[j])
+            assert (q[i, j] == math.inf) == (abs(a) >= 1.0 or abs(b) >= 1.0)
+    assert np.array_equal(sinh2_rho(w[:, None], z[None, :]), q.T)
+
+
+def test_rho_matches_50_digit_oracle():
+    # 1e-14 relative for moduli up to 0.999.  Every third pair is close:
+    # its small distance inherits the rounding of 1 - |z| in full, about
+    # 2^-53 / (1 - |z|) relative, which exceeds 1e-14 near the circle.
+    rng = random.Random(16)
+
+    def point():
+        return rng.uniform(0.0, 0.999) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+    with mpmath.workdps(50):
+        for k in range(3000):
+            z = point()
+            if k % 3:
+                w, tol = point(), 1e-14
+            else:
+                w = z + 1e-6 * complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+                tol = max(1e-14, 2.0**-52 / (1.0 - max(abs(z), abs(w))))
+            if abs(w) > 0.999:
+                continue
+            a, b = mpmath.mpc(z), mpmath.mpc(w)
+            exact = mpmath.atanh(abs(a - b) / abs(1 - mpmath.conj(b) * a))
+            assert abs(rho(z, w) - exact) <= tol * exact, (z, w)
 
 
 def test_mobius_isometry_bulk():

@@ -235,9 +235,9 @@ def test_run_partial_losses_measure_live_points():
         diameter = max(rho(s.values[i], s.values[j]) for i, j in pairs)
         slack = max(rho(s.values[i], s.values[j]) - rho(pts[i], pts[j]) for i, j in pairs)
         movement = max(rho(s.values[i], prev[i]) for i in live if np.isfinite(prev[i]))
-        assert abs(s.diameter - diameter) <= 1e-12, s.n
+        assert s.diameter == diameter, s.n
         assert abs(s.schwarz_slack - slack) <= 1e-12, s.n
-        assert abs(s.movement - movement) <= 1e-12, s.n
+        assert s.movement == movement, s.n
         prev = s.values
     assert report.schwarz_max == max(s.schwarz_slack for s in steps)
 
