@@ -16,7 +16,6 @@ import numpy as np
 from .domains import DomainModel
 from .errors import NumericError, PreconditionError
 from .hyperbolic import (
-    BOUNDARY_GUARD,
     DiskPoint,
     HyperbolicDisk,
     modulus,
@@ -136,8 +135,7 @@ class StretchedDomain(DomainModel):
         return DiskPoint(self.stretch.apply(complex(self.base.anchor)))
 
     def _inside(self, z):
-        inside = 1.0 - modulus(z) >= BOUNDARY_GUARD
-        return inside & self.base.contains(self.stretch.inverse_apply(z))
+        return self.base.contains(self.stretch.inverse_apply(z))
 
     def boundary_point(self, t):
         return self.stretch.apply(np.asarray(self.base.boundary_point(t)))
@@ -151,7 +149,9 @@ class StretchedDomain(DomainModel):
         return None if cap is None else self.stretch.radial_distance(cap)
 
 
-def witness_disk_verify(X: DomainModel, disk: HyperbolicDisk, samples: int = 10000) -> bool:
+def witness_disk_verify(
+    X: DomainModel, disk: HyperbolicDisk, samples: int = SearchBudget.witness_samples
+) -> bool:
     """True iff the open disk lies in X: by puncture distances when the
     complement of X is a point set, which no sample would hit, else on a
     deterministic sample of the closed disk (rings, center and boundary)."""
@@ -162,8 +162,7 @@ def witness_disk_verify(X: DomainModel, disk: HyperbolicDisk, samples: int = 100
 
 def _admissible(X: DomainModel, p, depth: float):
     # rho(0, p) = artanh|p|, so the depth cap is a modulus bound.
-    m = modulus(p)
-    return (1.0 - m >= BOUNDARY_GUARD) & (m <= math.tanh(depth + 1e-9)) & X.contains(p)
+    return (modulus(p) <= math.tanh(depth + 1e-9)) & X.contains(p)
 
 
 def _candidate_centers(X: DomainModel, budget: SearchBudget, depth: float) -> list[complex]:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -35,9 +35,9 @@ from .constructions import (
     point_at_intrinsic_distance,
     preimage_convergence_report,
 )
-from .domains import parse_domain
+from .domains import _parse_call, parse_domain
 from .errors import ConfigError, NumericError, PreconditionError
-from .hyperbolic import Blaschke2, MobiusAut
+from .hyperbolic import Blaschke2, MobiusAut, inside
 from .ifs import (
     Affine,
     MapDescriptor,
@@ -49,6 +49,7 @@ from .ifs import (
     random_system,
     run,
 )
+from .sampling import ring_points
 
 _GRID_RINGS = 12
 _GRID_SPOKES = 24
@@ -79,12 +80,18 @@ def _check_int(path, v):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite JSON number; an integer too large for a float is not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _check_float(path, v):
     if not _is_number(v):
-        raise ConfigError(f"config key {path!r}: expected a number, got {v!r}")
+        raise ConfigError(f"config key {path!r}: expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -102,13 +109,13 @@ def _check_bool(path, v):
 
 def _check_pair(path, v):
     if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
-        raise ConfigError(f"config key {path!r}: expected [re, im], got {v!r}")
+        raise ConfigError(f"config key {path!r}: expected finite [re, im], got {v!r}")
     return [float(v[0]), float(v[1])]
 
 
 def _check_floatlist(path, v):
     if not isinstance(v, (list, tuple)) or not v or not all(map(_is_number, v)):
-        raise ConfigError(f"config key {path!r}: expected a list of numbers, got {v!r}")
+        raise ConfigError(f"config key {path!r}: expected a list of finite numbers, got {v!r}")
     return [float(x) for x in v]
 
 
@@ -123,16 +130,27 @@ def _check_object(schema: dict):
     return check
 
 
-_CHECK_BY_TYPE = {bool: _check_bool, int: _check_int, float: _check_float}
+_CHECK_BY_TYPE = {
+    bool: _check_bool,
+    int: _check_int,
+    float: _check_float,
+    tuple: _check_floatlist,
+}
 
 
-def _schema_of(cls, skip=()) -> dict:
-    """Config keys of a library dataclass: each field with its default,
-    checked by the default's type."""
+def _schema_of(obj, skip=()) -> dict:
+    """Config keys of a library dataclass's fields or of a function's
+    parameters that have defaults: each with its default, checked by the
+    default's type.  The parameter n_steps is the key N."""
+    if is_dataclass(obj):
+        defaults = {f.name: f.default for f in fields(obj)}
+    else:
+        params = inspect.signature(obj).parameters.values()
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
     return {
-        f.name: (_CHECK_BY_TYPE[type(f.default)], f.default)
-        for f in fields(cls)
-        if f.name not in skip
+        "N" if name == "n_steps" else name: (_CHECK_BY_TYPE[type(default)], default)
+        for name, default in defaults.items()
+        if name not in skip
     }
 
 
@@ -196,51 +214,31 @@ def _validate_semantics(command: str, options: dict) -> None:
         parse_map(options["map"])
     if command == "dw":
         z0 = complex(*options["z0"])
-        if not 1.0 - abs(z0) >= 1e-15:
+        if not inside(z0):
             raise ConfigError(f"config key 'z0': {z0!r} is not inside the disk")
 
 
-_MAP_TOKEN = re.compile(r"^([a-z]+)(?:\((.*)\))?$")
+_MAP_PIECES = {
+    "affine": (2, Affine),
+    "square": (0, Squaring),
+    "blaschke": (2, lambda re, im: Blaschke2(complex(re, im))),
+    "mobius": (3, lambda re, im, theta: MobiusAut(complex(re, im), theta)),
+}
 
 
 def parse_map(text: str) -> tuple:
     """Parse a '|'-chained map string into primitive pieces.
 
     Grammar: affine(a,b) | square | blaschke(re,im) | mobius(re,im,theta),
-    applied left to right.
+    with finite numbers, applied left to right.
     """
     if not isinstance(text, str) or not text.strip():
         raise ConfigError("config key 'map': expected a nonempty map string")
     pieces = []
     for i, raw in enumerate(text.split("|"), start=1):
         tok = raw.strip()
-        m = _MAP_TOKEN.match(tok)
-        if not m:
-            raise ConfigError(f"map token {i} {tok!r}: unrecognized syntax")
-        name, argstr = m.group(1), m.group(2)
         try:
-            args = (
-                [float(a) for a in argstr.split(",")]
-                if argstr not in (None, "")
-                else []
-            )
-        except ValueError:
-            raise ConfigError(
-                f"map token {i} {tok!r}: arguments must be numbers"
-            ) from None
-        try:
-            if name == "affine" and len(args) == 2:
-                pieces.append(Affine(args[0], args[1]))
-            elif name == "square" and not args:
-                pieces.append(Squaring())
-            elif name == "blaschke" and len(args) == 2:
-                pieces.append(Blaschke2(complex(args[0], args[1])))
-            elif name == "mobius" and len(args) == 3:
-                pieces.append(MobiusAut(complex(args[0], args[1]), args[2]))
-            else:
-                raise ConfigError(
-                    f"map token {i} {tok!r}: unknown map or wrong argument count"
-                )
+            pieces.append(_parse_call(tok, _MAP_PIECES, f"map token {i} {tok!r}"))
         except ConfigError:
             raise
         except PreconditionError as exc:
@@ -419,7 +417,7 @@ _COMMANDS = {
         {
             **_DOMAIN_KEY,
             "N": (_check_int, 50),
-            "tol": (_check_float, 1e-8),
+            **_schema_of(run, skip=("probe", "n_steps")),
             # marked points are for the builders' runs, not for configs
             "probe": (_check_object(_schema_of(ProbeSpec, skip=("marked",))), {}),
         },
@@ -450,18 +448,16 @@ _COMMANDS = {
         {
             "map": (_check_str, _REQUIRED),
             "z0": (_check_pair, _REQUIRED),
-            "N": (_check_int, 1000),
-            "tol": (_check_float, 1e-10),
+            **_schema_of(denjoy_wolff),
         },
         _run_dw,
     ),
     "verify-lemmas": (
         {
-            "bounds": (_check_floatlist, [2.0, 4.0, 8.0]),
-            "sample_count": (_check_int, 512),
+            **_schema_of(metric_comparison_report),
+            # the library takes a number, a config a pair
             "target": (_check_pair, [0.3, 0.0]),
-            "moduli": (_check_floatlist, [0.9, 0.99, 0.999]),
-            "args_per_modulus": (_check_int, 8),
+            **_schema_of(preimage_convergence_report, skip=("target", "seed")),
         },
         _run_verify,
     ),
@@ -471,15 +467,11 @@ COMMANDS = tuple(_COMMANDS)
 
 
 def _grid_rows(seq) -> list:
-    src = []
-    index = []
-    for ring in range(1, _GRID_RINGS + 1):
-        r = math.tanh(_GRID_RADIUS * ring / _GRID_RINGS)
-        for spoke in range(_GRID_SPOKES):
-            phi = 2.0 * math.pi * spoke / _GRID_SPOKES
-            src.append(r * complex(math.cos(phi), math.sin(phi)))
-            index.append((ring, spoke))
-    pts = np.array(src, dtype=complex)
+    rings = range(1, _GRID_RINGS + 1)
+    pts = np.concatenate(
+        [ring_points(_GRID_RADIUS * ring / _GRID_RINGS, _GRID_SPOKES) for ring in rings]
+    )
+    index = [(ring, spoke) for ring in rings for spoke in range(_GRID_SPOKES)]
     img = _evaluate_grid(seq, len(seq), pts)[0] if seq else pts
     return [
         (ring, spoke, float(s.real), float(s.imag), float(v.real), float(v.imag))

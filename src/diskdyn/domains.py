@@ -3,7 +3,8 @@
 Every entry models an open connected set X inside the disk and answers, at
 minimum, exact membership, of a point or of an array of points: moduli come
 from `hyperbolic.modulus`, so a point gets the same answer bit for bit alone
-and in an array.  Simply connected entries carry conformal maps
+and in an array, and every member passes `hyperbolic.inside`, so it is a
+valid DiskPoint.  Simply connected entries carry conformal maps
 to and from the disk (which transport the disk metric to the intrinsic
 metric of X); entries with unbounded inradius expose `deep_point`, a path
 of centers witnessing arbitrarily large inscribed metric disks.
@@ -17,31 +18,37 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import re
 
 import numpy as np
 
-from .errors import BoundaryError, NumericError, PreconditionError
+from .errors import BoundaryError, ConfigError, NumericError, PreconditionError
 from .hyperbolic import (
     BOUNDARY_GUARD,
     DiskPoint,
     HyperbolicDisk,
     MobiusAut,
+    inside,
     modulus,
     rho,
     rho_of,
     sinh2_rho,
 )
-from .sampling import curve_min_rho
+from .sampling import curve_min_rho, ring_points
+
+# RDenseComplement refuses a net of more punctures than this (16 MiB).
+MAX_PUNCTURES = 1_000_000
 
 
 class DomainModel:
     """Common interface for catalog entries.
 
-    Subclasses must set the three flags and implement `_inside`; the
-    other operations have defaults that raise for entries lacking the
-    corresponding structure (no conformal parameterization, no unbounded
-    inradius), or that fall back to complement-distance sampling where a
-    boundary parameterization exists.
+    Subclasses must set the three flags and may narrow `_inside`, which
+    admits the whole disk by default; the other operations have defaults
+    that raise for entries lacking the corresponding structure (no
+    conformal parameterization, no unbounded inradius), or that fall back
+    to complement-distance sampling where a boundary parameterization
+    exists.
     """
 
     relatively_compact: bool
@@ -53,19 +60,20 @@ class DomainModel:
     def contains(self, z):
         """Membership of a point (a bool) or of each point of an array (a
         bool array of its shape), by one formula with moduli from
-        `hyperbolic.modulus`, so both give a point the same answer.  The
-        points of `punctures` are never members, whatever `_inside` says."""
-        inside = self._inside(z)
+        `hyperbolic.modulus`, so both give a point the same answer.  Only
+        points where `hyperbolic.inside` holds are members, and the points
+        of `punctures` never are, whatever `_inside` says."""
+        member = inside(z) & self._inside(z)
         if self.punctures is None:
-            return inside
+            return member
         # The first sorted puncture >= z is z exactly when z is a puncture.
         near = self._sorted_punctures[np.searchsorted(self._sorted_punctures, z) % self.punctures.size]
-        return inside & (modulus(near - z) > 0.0)
+        return member & (modulus(near - z) > 0.0)
 
     def _inside(self, z):
-        """Membership apart from the punctures, under the contract of
-        `contains`."""
-        raise NotImplementedError
+        """Membership apart from the disk's edge and the punctures, under
+        the contract of `contains`; the whole disk by default."""
+        return True
 
     @functools.cached_property
     def _sorted_punctures(self) -> np.ndarray:
@@ -267,7 +275,8 @@ class RDenseComplement(DomainModel):
     puncture.  The complement of the domain is exactly the puncture set,
     so the inradius at a point is its distance to the nearest puncture.
     Inradius claims are only meaningful for centers at least `mesh` inside
-    the covered region; `search_depth_cap` enforces that.
+    the covered region; `search_depth_cap` enforces that.  A net of more
+    than MAX_PUNCTURES punctures is refused before any is allocated.
     """
 
     relatively_compact = False
@@ -277,25 +286,31 @@ class RDenseComplement(DomainModel):
     def __init__(self, mesh: float, depth: float):
         self.mesh = float(mesh)
         self.depth = float(depth)
-        if self.mesh <= 0.0:
+        if not self.mesh > 0.0:
             raise PreconditionError(f"puncture mesh must be positive, got {mesh!r}")
-        if self.depth < self.mesh:
-            raise PreconditionError("depth must allow at least one puncture circle")
-        rings = []
+        # Count first, allocate after: circles stop at the depth, and at
+        # the last one that can hold a disk point.
+        counts = []
         k = 1
-        while k * self.mesh <= self.depth + 1e-12:
+        while k * self.mesh <= self.depth + 1e-12 and inside(math.tanh(k * self.mesh)):
             r = k * self.mesh
             count = math.ceil(math.pi * math.sinh(2.0 * r) / self.mesh)
             if k == 1:
                 # The innermost circle also covers the central gap; that
                 # needs the angular step below 1/cosh(2r) radians.
                 count = max(count, math.ceil(math.pi * math.cosh(2.0 * r)))
-            t = math.tanh(r)
-            angles = 2.0 * math.pi * np.arange(count) / count
-            rings.append(t * np.exp(1j * angles))
+            counts.append(count)
+            if sum(counts) > MAX_PUNCTURES:
+                raise PreconditionError(
+                    f"rdense({mesh!r},{depth!r}) needs more than {MAX_PUNCTURES} punctures"
+                )
             k += 1
-        self.punctures = np.concatenate(rings)
-        self.covered_depth = (k - 1) * self.mesh
+        if not counts:
+            raise PreconditionError("depth must allow at least one puncture circle in the disk")
+        self.punctures = np.concatenate(
+            [ring_points(k * self.mesh, count) for k, count in enumerate(counts, start=1)]
+        )
+        self.covered_depth = len(counts) * self.mesh
 
     def describe(self) -> str:
         return f"rdense({self.mesh:g},{self.depth:g})"
@@ -303,9 +318,6 @@ class RDenseComplement(DomainModel):
     @property
     def anchor(self) -> DiskPoint:
         return DiskPoint(0j)
-
-    def _inside(self, z):
-        return 1.0 - modulus(z) >= BOUNDARY_GUARD
 
     def search_depth_cap(self) -> float | None:
         return self.covered_depth - self.mesh
@@ -344,7 +356,7 @@ class MobiusImage(DomainModel):
         dr, di = 1.0 - a.real * z.real - a.imag * z.imag, a.imag * z.real - a.real * z.imag
         d2 = dr * dr + di * di
         w = (nr * dr + ni * di) / d2 + 1j * ((ni * dr - nr * di) / d2)
-        return (modulus(w) < 1.0) & self.base.contains(w)
+        return self.base.contains(w)
 
     def riemann_to(self, u):
         return self.aut(self.base.riemann_to(u))
@@ -392,23 +404,41 @@ def covering_with_basepoint(X: DomainModel, u0, x0, theta: float = 0.0):
     return MapDescriptor((aligner, RiemannTo(X)), target=X)
 
 
+_CALL = re.compile(r"^([a-z]+)(?:\((.*)\))?$")
+
+
+def _parse_call(text: str, table: dict, label: str):
+    """One `name(x,...)` token of the domain and map grammars, `name`
+    alone for no arguments.  `table` maps each name to (arity,
+    constructor); every argument must be a finite number.  Grammar errors
+    raise ConfigError prefixed by `label`; the constructor's own errors
+    pass through."""
+    m = _CALL.match(text.strip().replace(" ", ""))
+    if not m:
+        raise ConfigError(f"{label}: unrecognized syntax")
+    name, argstr = m.group(1), m.group(2)
+    try:
+        args = [float(a) for a in argstr.split(",")] if argstr else []
+    except ValueError:
+        raise ConfigError(f"{label}: arguments must be numbers") from None
+    if not all(map(math.isfinite, args)):
+        raise ConfigError(f"{label}: arguments must be finite numbers")
+    if name not in table or table[name][0] != len(args):
+        raise ConfigError(f"{label}: unknown name or wrong argument count")
+    return table[name][1](*args)
+
+
+_DOMAINS = {
+    "disk": (3, lambda cx, cy, r: EuclideanSubdisk(complex(cx, cy), r)),
+    "horodisk": (2, lambda angle, s: Horodisk(cmath.exp(1j * angle), s)),
+    "rdense": (2, RDenseComplement),
+}
+
+
 def parse_domain(spec: str) -> DomainModel:
     """Instantiate a catalog entry from its compact text form.
 
-    Grammar: disk(cx,cy,r) | horodisk(angle,s) | rdense(R,depth).
+    Grammar: disk(cx,cy,r) | horodisk(angle,s) | rdense(R,depth), with
+    finite numbers.
     """
-    text = spec.strip().replace(" ", "")
-    name, _, rest = text.partition("(")
-    if not rest.endswith(")"):
-        raise PreconditionError(f"malformed domain spec {spec!r}")
-    try:
-        args = [float(x) for x in rest[:-1].split(",")]
-    except ValueError as exc:
-        raise PreconditionError(f"malformed domain spec {spec!r}") from exc
-    if name == "disk" and len(args) == 3:
-        return EuclideanSubdisk(complex(args[0], args[1]), args[2])
-    if name == "horodisk" and len(args) == 2:
-        return Horodisk(cmath.exp(1j * args[0]), args[1])
-    if name == "rdense" and len(args) == 2:
-        return RDenseComplement(args[0], args[1])
-    raise PreconditionError(f"unknown domain spec {spec!r}")
+    return _parse_call(spec, _DOMAINS, f"domain spec {spec!r}")

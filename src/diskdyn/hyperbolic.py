@@ -25,17 +25,18 @@ TWO_PI = 2.0 * math.pi
 class DiskPoint(complex):
     """A complex number of modulus strictly below 1.
 
-    Construction rejects values on or outside the unit circle, including
-    anything within 1e-15 of it.  Instances behave as ordinary complex
-    numbers in arithmetic (results are plain complex, unvalidated).
+    Construction rejects every value where `inside` is false: on or
+    outside the unit circle, within BOUNDARY_GUARD of it, or not finite.
+    Instances behave as ordinary complex numbers in arithmetic (results
+    are plain complex, unvalidated).
     """
 
     def __new__(cls, *args):
         z = complex(*args)
-        if not (1.0 - abs(z) >= BOUNDARY_GUARD):
+        if not inside(z):
             raise BoundaryError(
                 f"point {z!r} is not strictly inside the unit disk "
-                f"(modulus {abs(z)!r}, guard {BOUNDARY_GUARD})"
+                f"(modulus {modulus(z)!r}, guard {BOUNDARY_GUARD})"
             )
         return super().__new__(cls, z.real, z.imag)
 
@@ -46,7 +47,19 @@ class DiskPoint(complex):
 def modulus(z):
     """|z| of a point or of each point of an array, bit for bit as Python's
     abs gives it (numpy's complex abs can differ in the last bit, hypot cannot)."""
+    # A plain complex skips the dispatch, as in sinh2_rho: np.ndim alone
+    # costs several times the abs.
+    if type(z) is complex:
+        return abs(z)
     return np.hypot(z.real, z.imag) if np.ndim(z) else abs(complex(z))
+
+
+def inside(z, guard: float = BOUNDARY_GUARD):
+    """The one edge test of the disk: 1 - |z| >= guard, with |z| from
+    `modulus`.  A bool for a point, a bool array of its shape for an
+    array; never true for NaN or inf.  DiskPoint accepts exactly the
+    points where inside(z) holds."""
+    return 1.0 - modulus(z) >= guard
 
 
 def sinh2_rho(z, w):
@@ -227,7 +240,7 @@ class HyperbolicDisk:
         radius = float(radius)
         if radius < 0.0:
             raise PreconditionError(f"euclidean radius must be >= 0, got {radius!r}")
-        if not (1.0 - (abs(center) + radius) >= BOUNDARY_GUARD):
+        if not inside(modulus(center) + radius):
             raise BoundaryError(
                 f"euclidean disk (center {center!r}, radius {radius!r}) "
                 "does not have closure inside the unit disk"

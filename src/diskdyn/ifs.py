@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, rho, rho_of, sinh2_rho
+from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, inside, rho, rho_of, sinh2_rho
 from .sampling import ring_points
 
 # Orbit points this close to the unit circle are lost: they become NaN, and
@@ -120,7 +120,8 @@ class MapDescriptor:
 @dataclass(frozen=True)
 class ProbeSpec:
     """Compact probe set: origin + polar grid in {rho(0,z) <= rho_radius},
-    plus optional marked points appended at the end.
+    plus optional marked points appended at the end.  Every point must
+    pass `hyperbolic.inside`.
 
     rings = spokes = 0 with origin False declares an empty probe (vacuous
     runs produce a header-only trace)."""
@@ -139,6 +140,10 @@ class ProbeSpec:
         object.__setattr__(
             self, "marked", tuple(complex(DiskPoint(z)) for z in self.marked)
         )
+        if not inside(self.points()).all():
+            raise PreconditionError(
+                f"probe rings out to rho_radius {self.rho_radius!r} leave the unit disk"
+            )
 
     def points(self) -> np.ndarray:
         pts = [np.zeros(1 if self.origin else 0, dtype=complex)]
@@ -212,7 +217,14 @@ def _guard(vals: np.ndarray, lost_at: np.ndarray, k: int) -> np.ndarray:
     left the guarded disk become NaN, and the live ones among them record k
     in lost_at (updated in place).  Lost points stay NaN under every map,
     so only a block holding a bad point needs to look at lost_at."""
-    bad = ~np.isfinite(vals) | (1.0 - np.abs(vals) < ORBIT_GUARD)
+    # `inside(vals, ORBIT_GUARD)` in numpy's complex abs, which is several
+    # times faster than hypot on a sweep block.  Its last bit can differ
+    # from `modulus`, so a point within an ulp or two of the guard may be
+    # lost here and inside there: the engine's lost set is its own.  The
+    # abs gives a point the same bits alone, at any offset and in any
+    # block, so the lost set does not depend on the block layout.  The
+    # negated comparison is also true for NaN and inf.
+    bad = ~(1.0 - np.abs(vals) >= ORBIT_GUARD)
     if not bad.any():
         return vals
     lost_at[bad & (lost_at == 0)] = k
@@ -404,7 +416,7 @@ def denjoy_wolff(f: MapDescriptor, z0, n_steps: int = 1000, tol: float = 1e-10):
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise NumericError(f"orbit of {z0!r} left the numeric range")
         orbit.append(w)
-        if 1.0 - abs(w) < ORBIT_GUARD:
+        if not inside(w, ORBIT_GUARD):
             return w / abs(w), "boundary", tuple(orbit)
         if abs(w - z) < tol:
             break

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .hyperbolic import rho_of, sinh2_rho
+from .hyperbolic import inside, rho_of, sinh2_rho
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # curve_min_rho's points per scan and number of scans.  Three scans leave
@@ -29,20 +29,20 @@ def ring_points(rho_radius: float, count: int, offset: float = 0.0) -> np.ndarra
     return t * np.exp(1j * angles)
 
 
-def hyperbolic_lattice(depth: float, spacing: float, angular_cap: int | None = None) -> np.ndarray:
+def hyperbolic_lattice(depth: float, spacing: float, angular_cap: int) -> np.ndarray:
     """Concentric-ring lattice covering {rho(0, z) <= depth}, origin excluded.
 
-    Rings sit at radii spacing, 2*spacing, ...; per-ring counts track the
-    ring circumference pi*sinh(2r) so the angular gap stays near `spacing`,
-    optionally capped to keep deep lattices tractable.
+    Rings sit at radii spacing, 2*spacing, ... up to depth, and stop at the
+    last one that can hold a disk point (its point on the positive real
+    axis passes `hyperbolic.inside`); per-ring counts track the ring
+    circumference pi*sinh(2r) so the angular gap stays near `spacing`,
+    capped at `angular_cap` to keep deep lattices tractable.
     """
     out = []
     k = 1
-    while k * spacing <= depth + 1e-12:
+    while k * spacing <= depth + 1e-12 and inside(math.tanh(k * spacing)):
         r = k * spacing
-        m = max(6, math.ceil(math.pi * math.sinh(2.0 * r) / spacing))
-        if angular_cap is not None:
-            m = min(m, angular_cap)
+        m = min(max(6, math.ceil(math.pi * math.sinh(2.0 * r) / spacing)), angular_cap)
         out.append(ring_points(r, m))
         k += 1
     if not out:

@@ -17,7 +17,8 @@ from diskdyn.bloch import (
 )
 from diskdyn.domains import EuclideanSubdisk, Horodisk, MobiusImage, RDenseComplement
 from diskdyn.errors import PreconditionError
-from diskdyn.hyperbolic import HyperbolicDisk, MobiusAut, rho
+from diskdyn.hyperbolic import HyperbolicDisk, MobiusAut, inside, rho
+from diskdyn.sampling import hyperbolic_lattice
 
 
 def _rand_point(rng, rmax=0.95):
@@ -190,6 +191,19 @@ def test_budget_validation():
         SearchBudget(ring_step=0.0)
     with pytest.raises(PreconditionError):
         SearchBudget(witness_samples=10)
+
+
+def test_search_depth_past_the_disk_edge_adds_nothing():
+    # No lattice ring past artanh(1 - 1e-15) ~ 17.6 holds a disk point, so
+    # a depth of 400 searches what the default depth does.
+    X = EuclideanSubdisk(0j, 0.3)
+    deep = bloch_radius_search(X, SearchBudget(depth=400.0))
+    shallow = bloch_radius_search(X)
+    assert deep.best_center == shallow.best_center
+    assert deep.best_inradius == shallow.best_inradius
+    lattice = hyperbolic_lattice(400.0, 0.25, 64)
+    assert inside(lattice).all()
+    assert np.array_equal(lattice, hyperbolic_lattice(17.5, 0.25, 64))
 
 
 def test_search_rejects_exhausted_depth():

@@ -56,6 +56,17 @@ def test_parse_config_validates_types():
         parse_config('{"command":"dw","map":"square","z0":[0.5]}')
     with pytest.raises(ConfigError, match="'z0'"):
         parse_config('{"command":"dw","map":"square","z0":0.7}')
+    # Numbers must be finite; 1e999 parses to inf and 10**400 overflows a float.
+    bad_numbers = (
+        '{"command":"dw","map":"square","z0":[0.5,0],"tol":Infinity}',
+        '{"command":"dw","map":"square","z0":[NaN,0]}',
+        '{"command":"verify-lemmas","bounds":[2.0,Infinity]}',
+        '{"command":"verify-lemmas","bounds":[2.0,1e999]}',
+        '{"command":"verify-lemmas","moduli":[0.9,1%s]}' % ("0" * 400),
+    )
+    for text in bad_numbers:
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(text)
 
 
 def test_parse_config_requires_command_and_required_keys():
@@ -93,6 +104,9 @@ def test_parse_map_rejects_bad_tokens():
         parse_map("affine(a,b)")
     with pytest.raises(ConfigError, match="token 1"):
         parse_map("blaschke(1.5,0)")  # zero outside the disk
+    for text in ("affine(nan,0.2)", "square|mobius(0.1,0,inf)", "blaschke(1e999,0)"):
+        with pytest.raises(ConfigError, match="numbers"):
+            parse_map(text)
     with pytest.raises(ConfigError):
         parse_map("")
 
@@ -135,6 +149,15 @@ def test_cli_exit_code_two_on_non_string_command(tmp_path, command):
     cfg = _write(tmp_path, "cmd.json", doc)
     out = tmp_path / "res"
     assert main(["dw", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_exit_code_two_on_non_finite_domain(tmp_path):
+    # A NaN tangency is refused at the door, not run with every probe point lost.
+    doc = {"command": "ifs-run", "domain": "horodisk(nan,0.5)", "N": 5}
+    cfg = _write(tmp_path, "nan.json", doc)
+    out = tmp_path / "res"
+    assert main(["ifs-run", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 

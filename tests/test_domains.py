@@ -18,7 +18,7 @@ from diskdyn.domains import (
     parse_domain,
 )
 from diskdyn.errors import NumericError, PreconditionError
-from diskdyn.hyperbolic import MobiusAut, rho, rho_grid
+from diskdyn.hyperbolic import MobiusAut, inside, rho, rho_grid
 
 
 def _rand_point(rng, rmax=0.95):
@@ -248,9 +248,19 @@ def test_parse_domain_grammar():
     assert isinstance(parse_domain("rdense(0.5,2)"), RDenseComplement)
     horo = parse_domain("horodisk(1.5707963267948966,0.5)")
     assert abs(complex(horo.tangency) - 1j) < 1e-12
-    for bad in ("disk(0,0)", "disk(0,0,0.5", "blob(1)", "disk(a,b,c)", "disk"):
+    bad_specs = ("disk(0,0)", "disk(0,0,0.5", "blob(1)", "disk(a,b,c)", "disk")
+    non_finite = ("horodisk(nan,0.5)", "rdense(nan,3)", "disk(0,0,inf)", "horodisk(0,1e999)")
+    for bad in bad_specs + non_finite:
         with pytest.raises(PreconditionError):
             parse_domain(bad)
+
+
+def test_rdense_refuses_oversized_net_before_allocating():
+    # rdense(0.5,8) would hold 4.4e7 punctures (674 MiB).
+    with pytest.raises(PreconditionError, match="punctures"):
+        RDenseComplement(0.5, 8.0)
+    with pytest.raises(PreconditionError, match="punctures"):
+        RDenseComplement(0.5, math.inf)
 
 
 def test_rho_x_requires_membership():
@@ -275,6 +285,16 @@ def _membership_catalog():
     return entries
 
 
+# The catalog's horodisk tangencies pulled in by 1 to 11 ulps, and a ring
+# 3 ulps inside the unit circle.
+_ULP = 2.0**-53
+_NEAR_EDGE = [
+    (1.0 - k * _ULP) * cmath.exp(1j * a)
+    for a in (0.0, 0.7, 2.0, math.pi, 4.5)
+    for k in range(1, 12)
+] + list((1.0 - 3 * _ULP) * np.exp(2j * math.pi * np.arange(64) / 64))
+
+
 @pytest.mark.parametrize("X", _membership_catalog(), ids=lambda X: X.describe())
 @given(
     ts=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64),
@@ -282,8 +302,9 @@ def _membership_catalog():
     zs=st.lists(st.complex_numbers(max_magnitude=1.0), max_size=32),
 )
 def test_contains_answers_arrays_as_points(X, ts, picks, zs):
-    # Points exactly on edges: 0, punctures and boundary-curve samples.
-    pts = [0j, *zs]
+    # Points exactly on edges: 0, punctures and boundary-curve samples,
+    # and the disk's own edge: every member must be a valid DiskPoint.
+    pts = [0j, *zs, *_NEAR_EDGE]
     if X.punctures is not None:
         pts += [X.punctures[k % X.punctures.size] for k in picks]
     else:
@@ -295,6 +316,7 @@ def test_contains_answers_arrays_as_points(X, ts, picks, zs):
     assert got.shape == arr.shape and got.dtype == bool
     assert got.tolist() == alone
     assert X.contains(arr.reshape(1, -1)).tolist() == [alone]
+    assert all(inside(p) for p, member in zip(arr, alone) if member)
 
 
 def _parameterized_catalog():

@@ -14,6 +14,8 @@ from diskdyn.hyperbolic import (
     DiskPoint,
     HyperbolicDisk,
     MobiusAut,
+    inside,
+    modulus,
     rho,
     rho_grid,
     sinh2_rho,
@@ -34,6 +36,36 @@ def test_disk_point_guard():
     # NaN must not slip through the guard comparison.
     with pytest.raises(BoundaryError):
         DiskPoint(complex("nan"))
+
+
+_ULP = 2.0**-53  # spacing of doubles just below 1
+
+
+@given(
+    zs=st.lists(st.complex_numbers(max_magnitude=1e300), max_size=16),
+    edge=st.lists(
+        st.tuples(st.integers(0, 40), st.floats(0.0, 2.0 * math.pi)), max_size=16
+    ),
+)
+def test_disk_point_accepts_exactly_where_inside_holds(zs, edge):
+    # Points a few ulps either side of the guard, NaN and inf among them.
+    inf, nan = math.inf, math.nan
+    pts = [*zs, complex(nan, 0.0), complex(inf, 0.0), complex(nan, inf), 1.0 - 9 * _ULP]
+    pts += [(1.0 - k * _ULP) * cmath.exp(1j * phi) for k, phi in edge]
+    arr = np.array(pts, dtype=complex)
+    got = inside(arr)
+    assert got.shape == arr.shape and got.dtype == bool
+    assert inside(arr.reshape(1, -1)).tolist() == [got.tolist()]
+    for z, flag in zip(pts, got.tolist()):
+        assert type(inside(z)) is bool and inside(z) == flag
+        assert modulus(z) == modulus(np.array([z]))[0] or math.isnan(modulus(z))
+        try:
+            DiskPoint(z)
+        except BoundaryError:
+            assert not flag, z
+        else:
+            assert flag, z
+    assert inside(1.0 - 10 * _ULP) and not inside(1.0 - 9 * _ULP)
 
 
 def test_rho_basics():

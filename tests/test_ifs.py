@@ -114,6 +114,12 @@ def test_probe_spec_validation_and_empty():
         ProbeSpec(rho_radius=-1.0)
     with pytest.raises(PreconditionError):
         ProbeSpec(rings=0, spokes=5)
+    # Every probe point must be a disk point: the outer ring at rho 19
+    # lies 1.1e-16 from the circle.
+    assert ProbeSpec(rho_radius=17.0, rings=2, spokes=4).points().size == 9
+    for radius in (19.0, math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            ProbeSpec(rho_radius=radius, rings=2, spokes=4)
     empty = ProbeSpec(rings=0, spokes=0, origin=False)
     assert empty.points().size == 0
 
@@ -318,6 +324,13 @@ def test_denjoy_wolff_boundary_point():
     limit, where, _orbit = denjoy_wolff(f, 0.0)
     assert where == "boundary"
     assert abs(limit - 1.0) < 1e-12
+
+
+def test_denjoy_wolff_non_finite_orbit_is_numeric_error():
+    # Not a boundary limit of NaN: the orbit left the numeric range.
+    f = MapDescriptor((Affine(0.5, 0.2), lambda z: complex(math.nan, 0.0)))
+    with pytest.raises(NumericError, match="numeric range"):
+        denjoy_wolff(f, 0.1)
 
 
 def test_denjoy_wolff_start_independence():
