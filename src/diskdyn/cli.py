@@ -12,12 +12,12 @@ field by field.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -285,12 +285,18 @@ def _engine_results(steps, report) -> dict:
     }
 
 
-def _trace_rows(steps) -> list:
-    return [
-        (step.n, idx, float(z.real), float(z.imag), float(step.diameter))
-        for step in steps
-        for idx, z in enumerate(step.values)
-    ]
+def _csv_lines(heads, values, tails):
+    """CSV lines "head,re,im" + tail, one per complex value, with the
+    floats as repr writes them: the bytes csv.writer gives (nan too).
+    heads and tails are already-formatted strings, one per value."""
+    return map("{},{!r},{!r}{}\n".format, heads, values.real.tolist(), values.imag.tolist(), tails)
+
+
+def _trace_lines(steps):
+    """trace.csv's rows, step by step; each step formats its diameter once."""
+    for step in steps:
+        heads = (f"{step.n},{i}" for i in range(step.values.size))
+        yield from _csv_lines(heads, step.values, repeat(f",{float(step.diameter)!r}"))
 
 
 def _budget(options: dict) -> SearchBudget:
@@ -320,7 +326,7 @@ def _run_ifs(options: dict):
     X = parse_domain(options["domain"])
     seq = random_system(X, options["seed"], options["N"])
     steps, report = run(seq, probe=ProbeSpec(**options["probe"]), tol=options["tol"])
-    return _engine_results(steps, report), _trace_rows(steps), seq
+    return _engine_results(steps, report), _trace_lines(steps), seq
 
 
 def _run_t7(options: dict):
@@ -347,7 +353,7 @@ def _run_t7(options: dict):
         },
         "engine": _engine_results(engine_steps, report),
     }
-    return results, _trace_rows(engine_steps), seq
+    return results, _trace_lines(engine_steps), seq
 
 
 def _run_t8(options: dict):
@@ -374,7 +380,7 @@ def _run_t8(options: dict):
         "alternation": {"even_error": even_err, "odd_error": odd_err},
         "engine": _engine_results(engine_steps, report),
     }
-    return results, _trace_rows(engine_steps), seq
+    return results, _trace_lines(engine_steps), seq
 
 
 def _run_dw(options: dict):
@@ -388,8 +394,9 @@ def _run_dw(options: dict):
         "location": location,
         "iterations": len(orbit),
     }
-    rows = [(n, 0, w.real, w.imag, 0.0) for n, w in enumerate(orbit, start=1)]
-    return results, rows, [f] * options["N"]
+    heads = (f"{n},0" for n in range(1, len(orbit) + 1))
+    lines = _csv_lines(heads, np.array(orbit, dtype=complex), repeat(",0.0"))
+    return results, lines, [f] * options["N"]
 
 
 def _run_verify(options: dict):
@@ -410,7 +417,7 @@ _BUDGET_SCHEMA = _schema_of(SearchBudget)
 _DOMAIN_KEY = {"domain": (_check_str, _REQUIRED)}
 
 # Each command's config keys (check, default) and its runner, which
-# returns (results, trace rows, the map sequence behind grid.csv).
+# returns (results, trace.csv's lines, the map sequence behind grid.csv).
 _COMMANDS = {
     "bloch": ({**_DOMAIN_KEY, **_BUDGET_SCHEMA}, _run_bloch),
     "ifs-run": (
@@ -466,21 +473,20 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
-def _grid_rows(seq) -> list:
+def _grid_lines(seq):
     rings = range(1, _GRID_RINGS + 1)
     pts = np.concatenate(
         [ring_points(_GRID_RADIUS * ring / _GRID_RINGS, _GRID_SPOKES) for ring in rings]
     )
-    index = [(ring, spoke) for ring in rings for spoke in range(_GRID_SPOKES)]
     img = _evaluate_grid(seq, len(seq), pts)[0] if seq else pts
-    return [
-        (ring, spoke, float(s.real), float(s.imag), float(v.real), float(v.imag))
-        for (ring, spoke), s, v in zip(index, pts, img, strict=True)
-    ]
+    heads = (f"{ring},{spoke}" for ring in rings for spoke in range(_GRID_SPOKES))
+    tails = (f",{x!r},{y!r}" for x, y in zip(img.real.tolist(), img.imag.tolist()))
+    return _csv_lines(heads, pts, tails)
 
 
-def emit_outputs(out_dir, report: dict, trace_rows=(), seq=None) -> dict:
-    """Write trace.csv, report.json, and grid.csv under out_dir."""
+def emit_outputs(out_dir, report: dict, trace_lines=(), seq=None) -> dict:
+    """Write trace.csv, report.json, and grid.csv under out_dir; returns
+    their paths by name."""
     out = Path(out_dir)
     paths = {
         "trace": out / "trace.csv",
@@ -490,17 +496,15 @@ def emit_outputs(out_dir, report: dict, trace_rows=(), seq=None) -> dict:
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(paths["trace"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "probe_index", "re", "im", "diameter"])
-            writer.writerows(trace_rows)
+            fh.write("n,probe_index,re,im,diameter\n")
+            fh.writelines(trace_lines)
         paths["report"].write_text(
             json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n",
             encoding="utf-8",
         )
         with open(paths["grid"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["ring", "spoke", "src_re", "src_im", "img_re", "img_im"])
-            writer.writerows(_grid_rows(seq))
+            fh.write("ring,spoke,src_re,src_im,img_re,img_im\n")
+            fh.writelines(_grid_lines(seq))
     except OSError as exc:
         raise PreconditionError(
             f"cannot write outputs under {str(out)!r}: {exc}"
@@ -510,13 +514,13 @@ def emit_outputs(out_dir, report: dict, trace_rows=(), seq=None) -> dict:
 
 def execute(config: RunConfig) -> dict:
     """Run a validated config and write its outputs; returns the report."""
-    results, trace_rows, seq = _COMMANDS[config.command][1](config.options)
+    results, trace_lines, seq = _COMMANDS[config.command][1](config.options)
     echo = json.loads(config.serialize())
     # The output directory is not part of the run semantics; dropping it
     # keeps reports byte-identical across output locations.
     echo.pop("out", None)
     report = {"command": config.command, "config": echo, "results": _encode(results)}
-    emit_outputs(config.options["out"], report, trace_rows, seq)
+    emit_outputs(config.options["out"], report, trace_lines, seq)
     return report
 
 

@@ -36,7 +36,8 @@ class DiskPoint(complex):
         if not inside(z):
             raise BoundaryError(
                 f"point {z!r} is not strictly inside the unit disk "
-                f"(modulus {modulus(z)!r}, guard {BOUNDARY_GUARD})"
+                # math.hypot reads inf where Python's abs would overflow
+                f"(modulus {math.hypot(z.real, z.imag)!r}, guard {BOUNDARY_GUARD})"
             )
         return super().__new__(cls, z.real, z.imag)
 
@@ -57,9 +58,18 @@ def modulus(z):
 def inside(z, guard: float = BOUNDARY_GUARD):
     """The one edge test of the disk: 1 - |z| >= guard, with |z| from
     `modulus`.  A bool for a point, a bool array of its shape for an
-    array; never true for NaN or inf.  DiskPoint accepts exactly the
-    points where inside(z) holds."""
-    return 1.0 - modulus(z) >= guard
+    array; never true for NaN or inf, nor for finite parts whose modulus
+    overflows a double.  DiskPoint accepts exactly the points where
+    inside(z) holds."""
+    # Such a modulus is inf for hypot, which then warns, and an
+    # OverflowError for Python's abs; both mean outside.
+    try:
+        if not isinstance(z, np.ndarray):
+            return 1.0 - modulus(z) >= guard
+        with np.errstate(over="ignore"):
+            return 1.0 - modulus(z) >= guard
+    except OverflowError:
+        return False
 
 
 def sinh2_rho(z, w):

@@ -85,6 +85,9 @@ def test_parse_config_validates_domain_and_start_point():
         parse_config('{"command":"bloch","domain":"blob(1)"}')
     with pytest.raises(ConfigError, match="'z0'"):
         parse_config('{"command":"dw","map":"square","z0":[1.0,0.0]}')
+    # finite parts whose modulus overflows a double
+    with pytest.raises(ConfigError, match="'z0'.*not inside"):
+        parse_config('{"command":"dw","map":"square","z0":[1.7e308,1.7e308]}')
 
 
 def test_parse_map_grammar():

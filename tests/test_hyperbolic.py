@@ -36,6 +36,13 @@ def test_disk_point_guard():
     # NaN must not slip through the guard comparison.
     with pytest.raises(BoundaryError):
         DiskPoint(complex("nan"))
+    # Nor finite parts whose modulus overflows a double: no OverflowError
+    # from Python's abs, no overflow warning from hypot.
+    huge = complex(1.7e308, 1.7e308)
+    assert inside(huge) is False
+    with pytest.raises(BoundaryError, match="modulus inf"):
+        DiskPoint(huge)
+    assert inside(np.array([huge, 0.5j, -huge])).tolist() == [False, True, False]
 
 
 _ULP = 2.0**-53  # spacing of doubles just below 1

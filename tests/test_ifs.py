@@ -1,14 +1,23 @@
 import cmath
+import csv
+import io
 import math
 import random
 
 import numpy as np
 import pytest
 
-from diskdyn.cli import _engine_results
+from diskdyn.cli import (
+    _GRID_RADIUS,
+    _GRID_RINGS,
+    _GRID_SPOKES,
+    _engine_results,
+    _trace_lines,
+    emit_outputs,
+)
 from diskdyn.domains import EuclideanSubdisk, Horodisk
 from diskdyn.errors import NumericError, PreconditionError
-from diskdyn.hyperbolic import Blaschke2, MobiusAut, rho
+from diskdyn.hyperbolic import Blaschke2, MobiusAut, rho, rho_of, sinh2_rho
 from diskdyn.ifs import (
     ORBIT_GUARD,
     _evaluate_grid,
@@ -23,6 +32,7 @@ from diskdyn.ifs import (
     random_system,
     run,
 )
+from diskdyn.sampling import ring_points
 
 
 def test_affine_validation_and_value():
@@ -246,6 +256,57 @@ def test_run_partial_losses_measure_live_points():
         assert s.movement == movement, s.n
         prev = s.values
     assert report.schwarz_max == max(s.schwarz_slack for s in steps)
+
+
+def test_pair_pass_matches_full_matrix():
+    # The default 577-point probe spans several row blocks of the pair pass,
+    # and from step 3 on some points are lost, so the blocks take the probe
+    # pairs through the live points' indices.  Diameter and slack must be
+    # those of the full live matrix, bit for bit.
+    pts = ProbeSpec().points()
+    base = sinh2_rho(pts[:, None], pts[None, :])
+    steps, _ = run(_partly_lost())
+    lost_counts = [int(np.count_nonzero(s.lost_at)) for s in steps]
+    assert lost_counts[:2] == [0, 0] and all(0 < c < pts.size - 1 for c in lost_counts[2:])
+    for s in steps:
+        valid = s.lost_at == 0
+        live = s.values[valid]
+        q = sinh2_rho(live[:, None], live[None, :])
+        q_base = base[np.ix_(valid, valid)]
+        grown = q > q_base
+        slack = np.max(np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])), initial=0.0)
+        assert s.diameter == rho_of(np.max(q)), s.n
+        assert s.schwarz_slack == slack, s.n
+
+
+def test_trace_csv_bytes_match_csv_writer(tmp_path):
+    # Every probe point is lost at step 3, so the trace holds NaN values and
+    # NaN diameters and the grid NaN images, which no golden case has.  The
+    # files must be what csv.writer writes for the rows as tuples.
+    seq = _killed_at_step_three()
+    steps, _ = run(seq, probe=ProbeSpec(rings=3, spokes=5))
+    paths = emit_outputs(tmp_path, {}, _trace_lines(steps), seq)
+    trace = io.StringIO()
+    writer = csv.writer(trace, lineterminator="\n")
+    writer.writerow(["n", "probe_index", "re", "im", "diameter"])
+    writer.writerows(
+        (s.n, i, float(z.real), float(z.imag), float(s.diameter))
+        for s in steps
+        for i, z in enumerate(s.values)
+    )
+    rings = range(1, _GRID_RINGS + 1)
+    src = np.concatenate([ring_points(_GRID_RADIUS * r / _GRID_RINGS, _GRID_SPOKES) for r in rings])
+    img = _evaluate_grid(seq, len(seq), src)[0]
+    grid = io.StringIO()
+    writer = csv.writer(grid, lineterminator="\n")
+    writer.writerow(["ring", "spoke", "src_re", "src_im", "img_re", "img_im"])
+    writer.writerows(
+        (r, k, float(z.real), float(z.imag), float(w.real), float(w.imag))
+        for (r, k), z, w in zip(((r, k) for r in rings for k in range(_GRID_SPOKES)), src, img)
+    )
+    assert ",nan,0.0,nan\n" in trace.getvalue() and ",nan,0.0\n" in grid.getvalue()
+    assert paths["trace"].read_bytes() == trace.getvalue().encode()
+    assert paths["grid"].read_bytes() == grid.getvalue().encode()
 
 
 @pytest.mark.parametrize(
