@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainModel
+from .domains import DomainImage, DomainModel
 from .errors import NumericError, PreconditionError
 from .hyperbolic import (
     DiskPoint,
@@ -109,44 +109,26 @@ class RadialStretch:
         return math.atanh(math.tanh(float(r)) ** (1.0 / self.exponent))
 
 
-class StretchedDomain(DomainModel):
+class StretchedDomain(DomainImage):
     """Image of a catalog entry under a radial stretch.
 
-    Membership goes through the inverse stretch, and the mapped punctures
-    are excluded exactly (the inverse stretch need not land back on a
-    base puncture); the inradius field uses
-    the stretched complement directly (mapped punctures when the base
-    complement is a point set, the mapped boundary curve otherwise).
+    The inradius field uses the stretched complement directly: the mapped
+    punctures when the base complement is a point set, the mapped
+    boundary curve otherwise.
     """
 
     def __init__(self, base: DomainModel, stretch: RadialStretch):
-        self.base = base
         self.stretch = stretch
-        self.relatively_compact = base.relatively_compact
-        self.expected_bloch = base.expected_bloch
-        self.simply_connected = base.simply_connected
-        self.punctures = None if base.punctures is None else stretch.apply(base.punctures)
+        super().__init__(
+            base,
+            push=stretch.apply,
+            pull=stretch.inverse_apply,
+            push_depth=stretch.radial_distance,
+            pull_depth=stretch.inverse_radial,
+        )
 
     def describe(self) -> str:
         return f"stretch({self.base.describe()},{self.stretch.exponent:g})"
-
-    @property
-    def anchor(self) -> DiskPoint:
-        return DiskPoint(self.stretch.apply(complex(self.base.anchor)))
-
-    def _inside(self, z):
-        return self.base.contains(self.stretch.inverse_apply(z))
-
-    def boundary_point(self, t):
-        return self.stretch.apply(np.asarray(self.base.boundary_point(t)))
-
-    def probe_points(self, depth: float) -> list[complex]:
-        base_depth = self.stretch.inverse_radial(depth)
-        return [self.stretch.apply(p) for p in self.base.probe_points(base_depth)]
-
-    def search_depth_cap(self) -> float | None:
-        cap = self.base.search_depth_cap()
-        return None if cap is None else self.stretch.radial_distance(cap)
 
 
 def witness_disk_verify(
@@ -169,13 +151,6 @@ def _candidate_centers(X: DomainModel, budget: SearchBudget, depth: float) -> li
     lattice = hyperbolic_lattice(depth, budget.ring_step, budget.angular_cap)
     pts = np.concatenate(([0j, complex(X.anchor)], lattice, X.probe_points(depth)))
     return pts[_admissible(X, pts, depth)].tolist()
-
-
-def _prefer(value: float, center: complex, best_value: float, best_center: complex) -> bool:
-    # Deterministic max-reduction; exact ties break on lexicographic coordinates.
-    if value != best_value:
-        return value > best_value
-    return (center.real, center.imag) < (best_center.real, best_center.imag)
 
 
 def _pattern_refine(
@@ -246,11 +221,11 @@ def bloch_radius_search(X: DomainModel, budget: SearchBudget | None = None) -> B
         raise PreconditionError(
             f"no admissible search centers in {X.describe()} within depth {depth!r}"
         )
-    best_center, best_value = candidates[0], X.inradius_at(candidates[0])
-    for p in candidates[1:]:
-        v = X.inradius_at(p)
-        if _prefer(v, p, best_value, best_center):
-            best_center, best_value = p, v
+    # Deterministic max-reduction: exact ties break on the smallest
+    # (re, im), and max keeps the first of equal keys.
+    best_value, _, _, best_center = max(
+        (X.inradius_at(p), -p.real, -p.imag, p) for p in candidates
+    )
     best_center, best_value = _pattern_refine(X, best_center, best_value, depth, budget)
     if best_value >= budget.witness_threshold:
         witness = _certify_witness(X, best_center, best_value, budget)

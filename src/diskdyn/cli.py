@@ -341,10 +341,7 @@ def _run_t7(options: dict):
     results = {
         "a0": a0,
         "w0": w0,
-        "steps": [
-            {**_fields(s, drop=("descriptor", "depth_used")), "depth": s.depth_used}
-            for s in steps
-        ],
+        "steps": steps,
         "final": {
             "composite_at_zero": f_zero,
             "composite_at_marked": f_marked,
@@ -376,7 +373,7 @@ def _run_t8(options: dict):
     results = {
         "base": base,
         "value1": value1,
-        "steps": [_fields(s, drop=("base", "descriptor")) for s in steps],
+        "steps": steps,
         "alternation": {"even_error": even_err, "odd_error": odd_err},
         "engine": _engine_results(engine_steps, report),
     }

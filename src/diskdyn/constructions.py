@@ -92,8 +92,7 @@ class NonconstantStep:
     marked: complex
     marked_tilde: DiskPoint
     lift: float
-    descriptor: MapDescriptor
-    depth_used: float
+    depth: float
     dist_pair: float
     dist_intrinsic: float
     dist_tilde: float
@@ -206,8 +205,7 @@ def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
                 marked=complex(w_n),
                 marked_tilde=w_tilde,
                 lift=lift,
-                descriptor=f,
-                depth_used=depth,
+                depth=depth,
                 dist_pair=dist_pair,
                 dist_intrinsic=dist_intr,
                 dist_tilde=dist_tilde,
@@ -229,33 +227,25 @@ class AlternatingStep:
     the previous value)."""
 
     n: int
-    base: complex
     value: complex
     theta: float
-    descriptor: MapDescriptor
     circle_radius: float
     checks: dict
 
 
 def _arc_runs(member: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal circular runs of True as (start, length), deterministic order."""
-    m = member.size
-    runs = []
-    idx = 0
-    while idx < m:
-        if not member[idx]:
-            idx += 1
-            continue
-        start = idx
-        while idx < m and member[idx]:
-            idx += 1
-        runs.append((start, idx - start))
-    # Merge a wrap-around run.
-    if len(runs) >= 2 and runs[0][0] == 0 and sum(runs[-1]) == m:
-        first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], last[1] + first[1]))
-    return runs
+    """Maximal circular runs of True as (start, length); member must hold
+    at least one False."""
+    # Rolled to start at that outside angle, no run wraps; the steps of
+    # the rolled mask up and down are the runs' edges.
+    shift = int(np.argmin(member))
+    steps = np.diff(np.roll(member, -shift).astype(np.int8), append=np.int8(0))
+    starts = np.flatnonzero(steps == 1) + 1
+    ends = np.flatnonzero(steps == -1) + 1
+    return [
+        ((a + shift) % member.size, b - a)
+        for a, b in zip(starts.tolist(), ends.tolist(), strict=True)
+    ]
 
 
 def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
@@ -338,10 +328,8 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
         steps.append(
             AlternatingStep(
                 n=n,
-                base=base,
                 value=complex(a_n),
                 theta=theta_n,
-                descriptor=f,
                 circle_radius=radius,
                 checks=checks,
             )

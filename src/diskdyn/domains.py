@@ -62,8 +62,16 @@ class DomainModel:
         bool array of its shape), by one formula with moduli from
         `hyperbolic.modulus`, so both give a point the same answer.  Only
         points where `hyperbolic.inside` holds are members, and the points
-        of `punctures` never are, whatever `_inside` says."""
-        member = inside(z) & self._inside(z)
+        of `punctures` never are, whatever `_inside` says.  `_inside` and
+        the puncture test see only points where `inside` holds: a point
+        that fails it is refused at once, an array's such entries reach
+        them as 0."""
+        member = inside(z)
+        if isinstance(z, np.ndarray):
+            z = np.where(member, z, 0j)
+        elif not member:
+            return False
+        member = member & self._inside(z)
         if self.punctures is None:
             return member
         # The first sorted puncture >= z is z exactly when z is a puncture.
@@ -323,31 +331,71 @@ class RDenseComplement(DomainModel):
         return self.covered_depth - self.mesh
 
 
-class MobiusImage(DomainModel):
+class DomainImage(DomainModel):
+    """Image of a catalog entry `base` under a homeomorphism of the disk.
+
+    `push` maps the base onto the image and `pull` back, each on a point
+    or an array.  `push_depth` sends a base depth cap (a bound on
+    rho(0, center)) to the image's, and `pull_depth` sends an image depth
+    to the base depth whose probes, pushed forward, reach it.  The flags,
+    punctures, anchor, membership, boundary curve, probes and depth cap
+    all transport through these four; subclasses add the rest.
+    """
+
+    def __init__(self, base: DomainModel, *, push, pull, push_depth, pull_depth):
+        self.base = base
+        self._push, self._pull = push, pull
+        self._push_depth, self._pull_depth = push_depth, pull_depth
+        self.relatively_compact = base.relatively_compact
+        self.expected_bloch = base.expected_bloch
+        self.simply_connected = base.simply_connected
+        self.punctures = None if base.punctures is None else push(base.punctures)
+
+    @property
+    def anchor(self) -> DiskPoint:
+        return DiskPoint(self._push(complex(self.base.anchor)))
+
+    def _inside(self, z):
+        # The mapped punctures are excluded exactly by `contains`: the
+        # pull need not land back on a base puncture.
+        return self.base.contains(self._pull(z))
+
+    def boundary_point(self, t):
+        return self._push(self.base.boundary_point(t))
+
+    def probe_points(self, depth: float) -> list[complex]:
+        return [self._push(p) for p in self.base.probe_points(self._pull_depth(depth))]
+
+    def search_depth_cap(self) -> float | None:
+        cap = self.base.search_depth_cap()
+        return None if cap is None else self._push_depth(cap)
+
+
+class MobiusImage(DomainImage):
     """Image of a catalog entry under a disk automorphism.
 
     The automorphism is an isometry, so every metric quantity transports
     exactly: the inradius field composes with the inverse map and deep
-    points push forward.
+    points push forward.  It moves the origin by rho(0, aut(0)), so depth
+    caps shrink and probe depths grow by that much.
     """
 
     def __init__(self, base: DomainModel, aut: MobiusAut):
-        self.base = base
         self.aut = aut
         self._inv = aut.inverse()
-        self.relatively_compact = base.relatively_compact
-        self.expected_bloch = base.expected_bloch
-        self.simply_connected = base.simply_connected
-        self.punctures = None if base.punctures is None else aut(base.punctures)
+        shift = rho(0.0, aut(0.0))
+        super().__init__(
+            base,
+            push=aut,
+            pull=self._inverse_real,
+            push_depth=lambda cap: cap - shift,
+            pull_depth=lambda depth: depth + shift,
+        )
 
     def describe(self) -> str:
         return f"mobius_image({self.base.describe()})"
 
-    @property
-    def anchor(self) -> DiskPoint:
-        return DiskPoint(self.aut(self.base.anchor))
-
-    def _inside(self, z):
+    def _inverse_real(self, z):
         # The inverse map in real arithmetic: numpy rounds complex products
         # and quotients unlike Python, and unlike itself at other lengths.
         a, ph = self._inv.a, self._inv._phase
@@ -355,17 +403,13 @@ class MobiusImage(DomainModel):
         nr, ni = ph.real * ur - ph.imag * ui, ph.real * ui + ph.imag * ur
         dr, di = 1.0 - a.real * z.real - a.imag * z.imag, a.imag * z.real - a.real * z.imag
         d2 = dr * dr + di * di
-        w = (nr * dr + ni * di) / d2 + 1j * ((ni * dr - nr * di) / d2)
-        return self.base.contains(w)
+        return (nr * dr + ni * di) / d2 + 1j * ((ni * dr - nr * di) / d2)
 
     def riemann_to(self, u):
         return self.aut(self.base.riemann_to(u))
 
     def riemann_from(self, x):
         return self.base.riemann_from(self._inv(x))
-
-    def boundary_point(self, t):
-        return self.aut(self.base.boundary_point(t))
 
     def inradius_at(self, a) -> float:
         if self.punctures is not None:
@@ -375,17 +419,6 @@ class MobiusImage(DomainModel):
 
     def deep_point(self, t: float) -> DiskPoint:
         return DiskPoint(self.aut(self.base.deep_point(t)))
-
-    def probe_points(self, depth: float) -> list[complex]:
-        shift = rho(0.0, self.aut(0.0))
-        return [self.aut(p) for p in self.base.probe_points(depth + shift)]
-
-    def search_depth_cap(self) -> float | None:
-        cap = self.base.search_depth_cap()
-        if cap is None:
-            return None
-        # The automorphism moves the origin by at most its displacement.
-        return cap - rho(0.0, self.aut(0.0))
 
 
 def covering_with_basepoint(X: DomainModel, u0, x0, theta: float = 0.0):

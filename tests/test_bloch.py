@@ -11,13 +11,20 @@ from diskdyn.bloch import (
     RadialStretch,
     SearchBudget,
     StretchedDomain,
+    Verdict,
     bloch_radius_search,
     qc_image_experiment,
     witness_disk_verify,
 )
-from diskdyn.domains import EuclideanSubdisk, Horodisk, MobiusImage, RDenseComplement
+from diskdyn.domains import (
+    DomainModel,
+    EuclideanSubdisk,
+    Horodisk,
+    MobiusImage,
+    RDenseComplement,
+)
 from diskdyn.errors import PreconditionError
-from diskdyn.hyperbolic import HyperbolicDisk, MobiusAut, inside, rho
+from diskdyn.hyperbolic import DiskPoint, HyperbolicDisk, MobiusAut, inside, rho
 from diskdyn.sampling import hyperbolic_lattice
 
 
@@ -91,6 +98,28 @@ def test_search_horodisk_witness_at_depth_five():
     assert rep.best_inradius == pytest.approx(5.0, abs=1e-6)
     assert rep.witness is not None
     assert rep.witness.radius >= 3.0
+
+
+class _FlatDomain(DomainModel):
+    # The whole disk with one inradius everywhere: every center ties.
+    relatively_compact = expected_bloch = simply_connected = True
+    anchor = DiskPoint(0.1 - 0.2j)
+
+    def describe(self):
+        return "flat"
+
+    def inradius_at(self, a):
+        return 0.5
+
+
+def test_search_breaks_ties_on_smallest_coordinates():
+    X = _FlatDomain()
+    budget = SearchBudget()
+    lattice = hyperbolic_lattice(budget.depth, budget.ring_step, budget.angular_cap)
+    pts = [0j, complex(X.anchor), *lattice]
+    rep = bloch_radius_search(X, budget)
+    assert complex(rep.best_center) == min(pts, key=lambda p: (p.real, p.imag))
+    assert rep.verdict == Verdict("bloch_up_to", 0.5)
 
 
 def test_search_monotone_in_depth():

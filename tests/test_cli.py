@@ -164,6 +164,23 @@ def test_cli_exit_code_two_on_non_finite_domain(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "construct-t7", "domain": "horodisk(0,0.5)", "a0": [1.7e308, 1.7e308]},
+        {"command": "construct-t8", "domain": "horodisk(0,0.5)", "base": [1.7e308, 1.7e308]},
+    ],
+    ids=["t7", "t8"],
+)
+def test_cli_exit_code_two_on_overflowing_base_point(tmp_path, capsys, doc):
+    # The point's modulus overflows a double: outside, not a traceback.
+    cfg = _write(tmp_path, "big.json", doc)
+    out = tmp_path / "res"
+    assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
+    assert "not in horodisk(0,0.5)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_two_on_command_mismatch(tmp_path):
     cfg = _write(tmp_path, "b.json", {"command": "bloch", "domain": "disk(0,0,0.5)"})
     assert main(["dw", "--config", cfg]) == 2

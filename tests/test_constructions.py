@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from diskdyn.constructions import (
+    _arc_runs,
     build_alternating_system,
     build_nonconstant_system,
     metric_comparison_report,
@@ -64,12 +66,28 @@ def _horodisk_pair(distance=0.3):
     return X, a0, w0
 
 
+def test_arc_runs_wrap_tie_and_single():
+    def runs(mask):
+        return sorted(_arc_runs(np.array([c == "1" for c in mask])))
+
+    # The run through the end wraps to the start; the builder's pick is
+    # the longest, the earliest start on a tie.
+    assert runs("11001101") == [(4, 2), (7, 3)]
+    tied = _arc_runs(np.array([c == "1" for c in "01101100"]))
+    assert sorted(tied) == [(1, 2), (4, 2)]
+    assert max(tied, key=lambda r: (r[1], -r[0])) == (1, 2)
+    assert runs("0011100") == [(2, 3)]
+    assert runs("1000") == [(0, 1)]
+    assert runs("0001") == [(3, 1)]
+    assert runs("0000") == []
+
+
 def test_nonconstant_builder_step_invariants():
     X, a0, w0 = _horodisk_pair()
     d0 = X.rho_X(a0, w0)
     seq, steps = build_nonconstant_system(X, a0, w0, 20)
     assert len(seq) == len(steps) == 20
-    depths = [s.depth_used for s in steps]
+    depths = [s.depth for s in steps]
     assert depths == sorted(depths)
     for s in steps:
         assert all(s.checks.values()), (s.n, s.checks)

@@ -217,6 +217,20 @@ def test_mobius_image_transport():
         assert abs(complex(Y.deep_point(t)) - m(complex(X.deep_point(t)))) < 1e-14
 
 
+def test_mobius_image_transports_depths():
+    # The automorphism moves the origin by `shift`: the image's depth cap
+    # shrinks by it and its probes are the base's at depth + shift.
+    m = MobiusAut(0.3 + 0.1j, 0.7)
+    shift = rho(0.0, m(0.0))
+    net = RDenseComplement(0.5, 3.0)
+    assert MobiusImage(net, m).search_depth_cap() == net.search_depth_cap() - shift
+    X = Horodisk(1.0, 0.5)
+    for depth in (1.0, 2.5, 4.0):
+        assert MobiusImage(X, m).probe_points(depth) == [
+            m(p) for p in X.probe_points(depth + shift)
+        ]
+
+
 def test_mobius_image_of_identity_matches_base():
     X = EuclideanSubdisk(0j, 0.5)
     Y = MobiusImage(X, MobiusAut(0j, 0.0))
@@ -293,6 +307,9 @@ _NEAR_EDGE = [
     for a in (0.0, 0.7, 2.0, math.pi, 4.5)
     for k in range(1, 12)
 ] + list((1.0 - 3 * _ULP) * np.exp(2j * math.pi * np.arange(64) / 64))
+# Points that fail the edge test before any entry's own test may see
+# them: a NaN, infinities, and a finite point whose modulus overflows.
+_NOT_FINITE = [complex("nan"), complex("inf"), complex(-math.inf, 0.5), 1.7e308 + 1.7e308j]
 
 
 @pytest.mark.parametrize("X", _membership_catalog(), ids=lambda X: X.describe())
@@ -304,7 +321,8 @@ _NEAR_EDGE = [
 def test_contains_answers_arrays_as_points(X, ts, picks, zs):
     # Points exactly on edges: 0, punctures and boundary-curve samples,
     # and the disk's own edge: every member must be a valid DiskPoint.
-    pts = [0j, *zs, *_NEAR_EDGE]
+    # The non-finite points must pass without an error or a warning.
+    pts = [0j, *zs, *_NEAR_EDGE, *_NOT_FINITE]
     if X.punctures is not None:
         pts += [X.punctures[k % X.punctures.size] for k in picks]
     else:
@@ -317,6 +335,9 @@ def test_contains_answers_arrays_as_points(X, ts, picks, zs):
     assert got.tolist() == alone
     assert X.contains(arr.reshape(1, -1)).tolist() == [alone]
     assert all(inside(p) for p, member in zip(arr, alone) if member)
+
+
+_NOT_FINITE = [complex("nan"), complex("inf"), complex(-math.inf, 0.5), 1.7e308 + 1.7e308j]
 
 
 def _parameterized_catalog():
