@@ -48,8 +48,9 @@ class DiskPoint(complex):
 def modulus(z):
     """|z| of a point or of each point of an array, bit for bit as Python's
     abs gives it (numpy's complex abs can differ in the last bit, hypot cannot)."""
-    # A plain complex skips the dispatch, as in sinh2_rho: np.ndim alone
-    # costs several times the abs.
+    # The edge test and the gaps 1 - |z|^2 of the distance kernel read it,
+    # one hypot per point; a distance takes no modulus of z - w.  A plain
+    # complex skips the dispatch: np.ndim alone costs several times the abs.
     if type(z) is complex:
         return abs(z)
     return np.hypot(z.real, z.imag) if np.ndim(z) else abs(complex(z))
@@ -77,29 +78,52 @@ def sinh2_rho(z, w):
     distance kernel: a float for a pair of points, a float array over
     broadcast arrays; +inf where a point is on or outside the unit circle.
 
-    Computed in real arithmetic from moduli as `modulus` gives them, so a
-    pair gets the same bits alone and inside an array, and swapping z and
-    w changes no bit.  It increases with rho: compare, maximize and
+    Computed in real arithmetic by `_sinh2`: the numerator from coordinate
+    differences, each gap 1 - |z|^2 as (1 - |z|)(1 + |z|) from `modulus`.
+    A pair gets the same bits alone and inside an array, and swapping z
+    and w changes no bit.  It increases with rho: compare, maximize and
     minimize in it, and convert a reported number once with `rho_of`.
     """
     # A pair of plain complex numbers skips the dispatch: np.ndim alone
     # costs several times the arithmetic of the point path.
     if not (type(z) is complex and type(w) is complex):
         if np.ndim(z) or np.ndim(w):
-            z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-            az, aw = modulus(z), modulus(w)
-            gz, gw = (1.0 - az) * (1.0 + az), (1.0 - aw) * (1.0 + aw)
-            # A factor that is not positive (or NaN) becomes 0: its pairs read inf.
-            gap = np.where(gz > 0.0, gz, 0.0) * np.where(gw > 0.0, gw, 0.0)
-            d = modulus(z - w)
-            return np.divide(d * d, gap, out=np.full(gap.shape, np.inf), where=gap > 0.0)
+            p, r = _coords(np.asarray(z, dtype=complex)), _coords(np.asarray(w, dtype=complex))
+            # Pairs off the disk may overflow or divide by a gap of 0;
+            # they read inf whatever they computed.
+            with np.errstate(all="ignore"):
+                q = _sinh2(p, r)
+            q[~((p[2] > 0.0) & (r[2] > 0.0))] = np.inf
+            return q
         z, w = complex(z), complex(w)
     az, aw = abs(z), abs(w)
     gz, gw = (1.0 - az) * (1.0 + az), (1.0 - aw) * (1.0 + aw)
     if not (gz > 0.0 and gw > 0.0):
         return math.inf
-    d = abs(z - w)
-    return d * d / (gz * gw)
+    return _sinh2((z.real, z.imag, gz), (w.real, w.imag, gw))
+
+
+def _coords(z: np.ndarray) -> tuple:
+    """The arrays x, y and gap (1 - |z|)(1 + |z|) of the points of an
+    array: the points as `_sinh2` takes them."""
+    a = modulus(z)
+    return z.real, z.imag, (1.0 - a) * (1.0 + a)
+
+
+def _sinh2(p, q):
+    """(dx^2 + dy^2) / (g h) for p = (x, y, g) and q = (u, v, h), with
+    dx = x - u and dy = y - v: the formula of `sinh2_rho`, on floats or
+    elementwise over broadcast arrays, for gaps g, h > 0.  Swapping p and
+    q flips the signs of dx and dy only, and p == q gives 0.0.  The
+    numerator is squared and summed in place, so a block of pairs costs
+    two temporaries besides the product of the gaps."""
+    (x, y, g), (u, v, h) = p, q
+    dx, dy = x - u, y - v
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dx /= g * h
+    return dx
 
 
 def rho_of(q: float) -> float:
@@ -234,13 +258,6 @@ class HyperbolicDisk:
         if not r >= 0.0:
             raise PreconditionError(f"disk radius must be >= 0, got {r!r}")
         object.__setattr__(self, "radius", r)
-
-    def to_euclidean(self) -> tuple[complex, float]:
-        """Euclidean (center, radius) of the same point set."""
-        t = math.tanh(self.radius)
-        d2 = abs(self.center) ** 2
-        den = 1.0 - t * t * d2
-        return self.center * (1.0 - t * t) / den, t * (1.0 - d2) / den
 
     @classmethod
     def from_euclidean(cls, center, radius: float) -> "HyperbolicDisk":

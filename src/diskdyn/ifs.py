@@ -9,9 +9,10 @@ classifies the tail behavior as a constant limit, a non-constant floor,
 or alternating accumulation clusters.
 
 Each step's diameter and Schwarz-Pick slack come from one pass over the
-pairs of live points, in sinh^2 rho.  The pass covers only the upper
-triangle of the pair matrix, a block of rows at a time, so its
-temporaries stay in cache; the distance kernel is symmetric bit for bit
+pairs of live points, in sinh^2 rho.  The live points' coordinates and
+gaps 1 - |z|^2 are computed once per step; the pass then covers only the
+upper triangle of the pair matrix, a block of rows at a time, so its
+temporaries stay in cache.  The distance kernel is symmetric bit for bit
 and reads 0.0 on the diagonal, so the numbers equal the full matrix's.
 """
 from __future__ import annotations
@@ -23,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, inside, rho, rho_of, sinh2_rho
+from .hyperbolic import (
+    Blaschke2, DiskPoint, MobiusAut, _coords, _sinh2, inside, rho, rho_of, sinh2_rho
+)
 from .sampling import ring_points
 
 # Orbit points this close to the unit circle are lost: they become NaN, and
@@ -286,17 +289,20 @@ def _pair_pass(live: np.ndarray, base: np.ndarray, idx: np.ndarray | None):
     probe pairs and idx the probe index of each live point (None when every
     point is live).
 
-    The pass covers the upper triangle, diagonal included, in blocks of
-    whole rows of at most _PAIR_BLOCK pairs.  sinh2_rho is symmetric bit
-    for bit and reads 0.0 on the diagonal, so both numbers are those of the
-    full matrix, to the bit.
+    The live points' coordinates and gaps are computed once; the kernel's
+    formula `hyperbolic._sinh2` then covers the upper triangle, diagonal
+    included, in blocks of whole rows of at most _PAIR_BLOCK pairs.  Live
+    gaps are positive, so each pair gets the bits of sinh2_rho, which is
+    symmetric bit for bit and reads 0.0 on the diagonal: both numbers are
+    those of the full matrix, to the bit.
     """
     m = live.size
     step = max(1, _PAIR_BLOCK // m)
+    pts = _coords(live)
     q_max = slack = 0.0
     for a in range(0, m, step):
         b = min(a + step, m)
-        q = sinh2_rho(live[a:b, None], live[None, a:])
+        q = _sinh2([c[a:b, None] for c in pts], [c[None, a:] for c in pts])
         q_base = base[a:b, a:] if idx is None else base[np.ix_(idx[a:b], idx[a:])]
         q_max = max(q_max, float(np.max(q)))
         # Only pairs that moved apart need distances.
@@ -316,12 +322,12 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
     which must stay at rounding level.  The composites come from one
     triangular sweep: N vectorized map calls (more when N P exceeds
     _SWEEP_BLOCK) and N (N + 1) / 2 point evaluations per probe point.
-    The diameter and the slack come from `_pair_pass`: m (m + 1) / 2 pairs
-    of the m live points per step, over the upper triangle in blocks of
-    rows of at most _PAIR_BLOCK pairs, each compared with the matching
-    block of the probe's own pairs.  The kernel gives (i, j) and (j, i)
-    the same bits and the diagonal 0.0, so the maxima are those of the
-    full m x m matrix, bit for bit.
+    The diameter and the slack come from `_pair_pass`: the m live points'
+    coordinates and gaps once per step, then m (m + 1) / 2 pairs over the
+    upper triangle in blocks of rows of at most _PAIR_BLOCK pairs, each
+    compared with the matching block of the probe's own pairs.  The kernel
+    gives (i, j) and (j, i) the same bits and the diagonal 0.0, so the
+    maxima are those of the full m x m matrix, bit for bit.
     """
     probe = probe or ProbeSpec()
     N = len(seq) if n_steps is None else int(n_steps)

@@ -245,24 +245,23 @@ def test_blaschke_rejects_bad_zero():
         Blaschke2(0.0)
 
 
-def test_hyperbolic_disk_conversions():
-    d = HyperbolicDisk(0j, math.atanh(0.5))
-    center, radius = d.to_euclidean()
-    assert abs(center) < 1e-15 and radius == pytest.approx(0.5, rel=1e-14)
-    back = HyperbolicDisk.from_euclidean(center, radius)
-    assert abs(back.center - d.center) < 1e-14
-    assert back.radius == pytest.approx(d.radius, rel=1e-12)
+def _on_circle(center, radius):
+    """Eight points of the Euclidean circle |z - center| = radius."""
+    return [center + radius * cmath.exp(0.25j * math.pi * k) for k in range(8)]
 
+
+def test_hyperbolic_disk_conversions():
+    # The hyperbolic disk from a Euclidean one has that circle as its
+    # boundary: every point of it lies at rho = radius from the center.
     rng = random.Random(19)
-    for _ in range(200):
-        c = _rand_point(rng, 0.6)
-        r = rng.uniform(0.1, 1.5)
-        ec, er = HyperbolicDisk(c, r).to_euclidean()
-        if 1.0 - (abs(ec) + er) < 1e-12:
+    for _ in range(2000):
+        c = _rand_point(rng, 0.9)
+        r = rng.uniform(0.05, 1.0 - abs(c))
+        if 1.0 - (abs(c) + r) < 1e-6:
             continue
-        back = HyperbolicDisk.from_euclidean(ec, er)
-        assert abs(back.center - c) < 1e-10
-        assert back.radius == pytest.approx(r, rel=1e-10)
+        d = HyperbolicDisk.from_euclidean(c, r)
+        for z in _on_circle(c, r):
+            assert rho(d.center, z) == pytest.approx(d.radius, rel=1e-12), (c, r)
 
 
 def test_from_euclidean_requires_compact_closure():
@@ -274,6 +273,6 @@ def test_from_euclidean_requires_compact_closure():
 
 def test_disk_conversion_helpers():
     d = HyperbolicDisk.from_euclidean(0j, 0.5)
-    assert d.radius == pytest.approx(math.atanh(0.5), rel=1e-14)
-    center, radius = d.to_euclidean()
-    assert abs(center) < 1e-14 and radius == pytest.approx(0.5, rel=1e-12)
+    assert abs(d.center) < 1e-15 and d.radius == pytest.approx(math.atanh(0.5), rel=1e-14)
+    for z in _on_circle(0j, 0.5):
+        assert rho(d.center, z) == pytest.approx(d.radius, rel=1e-12)

@@ -4,6 +4,7 @@ import io
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,13 +16,14 @@ from diskdyn.cli import (
     _trace_lines,
     emit_outputs,
 )
-from diskdyn.domains import EuclideanSubdisk, Horodisk
+from diskdyn.domains import EuclideanSubdisk, Horodisk, parse_domain
 from diskdyn.errors import NumericError, PreconditionError
 from diskdyn.hyperbolic import Blaschke2, MobiusAut, rho, rho_of, sinh2_rho
 from diskdyn.ifs import (
     ORBIT_GUARD,
     _evaluate_grid,
     _evaluate_prefixes,
+    _pair_pass,
     Affine,
     MapDescriptor,
     ProbeSpec,
@@ -277,6 +279,62 @@ def test_pair_pass_matches_full_matrix():
         slack = np.max(np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])), initial=0.0)
         assert s.diameter == rho_of(np.max(q)), s.n
         assert s.schwarz_slack == slack, s.n
+
+
+def test_pair_pass_matches_full_matrix_on_a_random_probe():
+    # A probe of 400 random points, so no symmetry of a grid can hide a
+    # block compared with the wrong probe pairs.  Live sets of 300 points
+    # (through idx) and of all 400 (idx None) span several row blocks.
+    # Random images grow some pairs, so the slack is positive; the probe
+    # points themselves grow none, so a misaligned block shows as growth.
+    rng = np.random.default_rng(11)
+
+    def points(n):
+        return 0.95 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+    pts = points(400)
+    base = sinh2_rho(pts[:, None], pts[None, :])
+    idx = np.sort(rng.choice(pts.size, 300, replace=False))
+    everyone = np.arange(pts.size)
+    for live, index, grows in (
+        (points(300), idx, True),
+        (points(400), None, True),
+        (pts[idx], idx, False),
+        (pts, None, False),
+    ):
+        sel = everyone if index is None else index
+        q = sinh2_rho(live[:, None], live[None, :])
+        q_base = base[np.ix_(sel, sel)]
+        grown = q > q_base
+        slack = np.max(np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])), initial=0.0)
+        assert (slack > 0.0) == grows
+        assert _pair_pass(live, base, index) == (np.max(q), slack)
+
+
+# Pairs of the default 577-point probe: the origin against the outer ring,
+# opposite spokes of the outer ring, and pairs across rings.
+_PROBE_PAIRS = ((0, 553), (0, 570), (553, 565), (559, 571), (556, 568), (100, 400), (300, 560), (12, 576))
+
+
+def _rho_50_digits(z, w):
+    with mpmath.workdps(50):
+        a, b = mpmath.mpc(z), mpmath.mpc(w)
+        return mpmath.atanh(abs(a - b) / abs(1 - mpmath.conj(b) * a))
+
+
+@pytest.mark.parametrize("domain, seed", [("disk(0.1,-0.05,0.35)", 3), ("horodisk(2.2,0.5)", 11)])
+def test_run_diameters_match_50_digit_oracle(domain, seed):
+    # Each step's diameter is the distance of its extreme pair to 1e-13
+    # relative, and no probe pair lies farther apart.
+    steps, _ = run(random_system(parse_domain(domain), seed, 6))
+    assert len(steps) == 6 and all(not s.lost_at.any() for s in steps)
+    for s in steps:
+        v = s.values
+        i, j = np.unravel_index(np.argmax(sinh2_rho(v[:, None], v[None, :])), (v.size, v.size))
+        exact = _rho_50_digits(v[i], v[j])
+        assert abs(s.diameter - exact) <= 1e-13 * exact, s.n
+        for a, b in _PROBE_PAIRS:
+            assert _rho_50_digits(v[a], v[b]) <= s.diameter * (1 + 1e-13), (s.n, a, b)
 
 
 def test_trace_csv_bytes_match_csv_writer(tmp_path):
