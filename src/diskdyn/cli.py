@@ -49,11 +49,8 @@ from .ifs import (
     random_system,
     run,
 )
-from .sampling import ring_points
 
 _GRID_RINGS = 12
-_GRID_SPOKES = 24
-_GRID_RADIUS = 1.2
 
 _REQUIRED = object()
 
@@ -279,7 +276,7 @@ def _engine_results(steps, report) -> dict:
         "verdict": report.verdict,
         "schwarz_max": report.schwarz_max,
         "steps": [
-            {**_fields(s, drop=("values", "lost_at")), "lost_points": int(np.count_nonzero(s.lost_at))}
+            {**_fields(s, drop=("values",)), "lost_points": int(np.count_nonzero(np.isnan(s.values)))}
             for s in steps
         ],
     }
@@ -471,12 +468,10 @@ COMMANDS = tuple(_COMMANDS)
 
 
 def _grid_lines(seq):
-    rings = range(1, _GRID_RINGS + 1)
-    pts = np.concatenate(
-        [ring_points(_GRID_RADIUS * ring / _GRID_RINGS, _GRID_SPOKES) for ring in rings]
-    )
-    img = _evaluate_grid(seq, len(seq), pts)[0] if seq else pts
-    heads = (f"{ring},{spoke}" for ring in rings for spoke in range(_GRID_SPOKES))
+    grid = ProbeSpec(rings=_GRID_RINGS, origin=False)
+    pts = grid.points()
+    img = _evaluate_grid(seq, len(seq), pts) if seq else pts
+    heads = (f"{ring},{spoke}" for ring in range(1, grid.rings + 1) for spoke in range(grid.spokes))
     tails = (f",{x!r},{y!r}" for x, y in zip(img.real.tolist(), img.imag.tolist()))
     return _csv_lines(heads, pts, tails)
 

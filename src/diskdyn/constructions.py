@@ -127,21 +127,27 @@ def _nonconstant_checks(
     return checks, dist_pair, dist_intr, dist_tilde
 
 
+def _require_steps(n_steps: int):
+    if n_steps < 1:
+        raise PreconditionError(f"a system needs at least one step, got n_steps = {n_steps!r}")
+
+
 def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
     """Build maps f_1..f_N into X with F_n(0) = a0 and F_n(w_tilde_n) = w0.
 
-    Requires 0 < rho_X(a0, w0) < 1/2 and a domain with a deep-point path
-    and a conformal parameterization.  Each step lifts the current marked
-    pair through a covering pinned at the current anchor (rotated so the
-    lift is a positive real), splits the lift through a degree-two
-    Blaschke map centered at a deep point, and escalates the deep-point
-    depth (up to _ESCALATION_CAP) until all five step inequalities hold.
-    Returns (descriptors, steps).
+    Requires n_steps >= 1, 0 < rho_X(a0, w0) < 1/2 and a domain with a
+    deep-point path and a conformal parameterization.  Each step lifts the
+    current marked pair through a covering pinned at the current anchor
+    (rotated so the lift is a positive real), splits the lift through a
+    degree-two Blaschke map centered at a deep point, and escalates the
+    deep-point depth (up to _ESCALATION_CAP) until all five step
+    inequalities hold.  Returns (descriptors, steps).
 
     Double precision supports roughly twenty steps: past that the step
     slacks fall below the evaluation noise of near-boundary points and
     no depth can satisfy the checks, so the builder raises NumericError.
     """
+    _require_steps(n_steps)
     if X.expected_bloch:
         raise PreconditionError(
             f"{X.describe()} has bounded inradius; the construction needs a "
@@ -255,7 +261,7 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
     (initially value1) with rotation chosen so the unique preimage of
     base under f_n lies in X: candidates sweep a hyperbolic circle about
     base, which must meet X.  Even composites return base to itself, odd
-    ones to value1.  Returns (descriptors, steps).
+    ones to value1.  Requires n_steps >= 1.  Returns (descriptors, steps).
 
     Double precision supports about 27 steps: the circle radius grows by
     about 0.27 a step, so the new points near the unit circle (1 - |a_n|
@@ -264,6 +270,7 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
     (then the pins) fails on some horodisks, and the builder raises
     NumericError.
     """
+    _require_steps(n_steps)
     if not X.simply_connected:
         raise PreconditionError(f"{X.describe()} has no single-valued parameterization")
     if X.relatively_compact:

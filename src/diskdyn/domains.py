@@ -214,7 +214,7 @@ class Horodisk(DomainModel):
 
     def __init__(self, tangency, size: float):
         xi = complex(tangency)
-        if abs(abs(xi) - 1.0) > 1e-9:
+        if not abs(abs(xi) - 1.0) <= 1e-9:
             raise PreconditionError(f"tangency {xi!r} is not on the unit circle")
         self.tangency = xi / abs(xi)
         self.size = float(size)

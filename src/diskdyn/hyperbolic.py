@@ -154,6 +154,8 @@ class MobiusAut:
 
     def __post_init__(self):
         a = complex(DiskPoint(self.a))
+        if not math.isfinite(self.theta):
+            raise PreconditionError(f"rotation angle must be finite, got {self.theta!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
         object.__setattr__(self, "_phase", cmath.exp(1j * self.theta))

@@ -9,11 +9,11 @@ classifies the tail behavior as a constant limit, a non-constant floor,
 or alternating accumulation clusters.
 
 Each step's diameter and Schwarz-Pick slack come from one pass over the
-pairs of live points, in sinh^2 rho.  The live points' coordinates and
-gaps 1 - |z|^2 are computed once per step; the pass then covers only the
-upper triangle of the pair matrix, a block of rows at a time, so its
-temporaries stay in cache.  The distance kernel is symmetric bit for bit
-and reads 0.0 on the diagonal, so the numbers equal the full matrix's.
+upper triangle of the pair matrix in sinh^2 rho, a block of rows at a
+time, so its temporaries stay in cache.  A lost probe point is NaN, its
+only record, and its pairs drop out of every maximum.  The distance
+kernel is symmetric bit for bit and reads 0.0 on the diagonal, so the
+numbers equal the full matrix's over the live points.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .hyperbolic import (
 from .sampling import ring_points
 
 # Orbit points this close to the unit circle are lost: they become NaN, and
-# lost_at records the map that sent them there.
+# the later maps, whose arithmetic carries NaN to NaN, keep them NaN.
 ORBIT_GUARD = 1e-14
 
 # The prefix sweep applies a map to at most this many points per call
@@ -58,7 +58,7 @@ class Affine:
     def __post_init__(self):
         object.__setattr__(self, "scale", complex(self.scale))
         object.__setattr__(self, "offset", complex(self.offset))
-        if abs(self.scale) + abs(self.offset) > 1.0:
+        if not abs(self.scale) + abs(self.offset) <= 1.0:
             raise PreconditionError(
                 f"affine map {self.scale!r}*z + {self.offset!r} is not a "
                 "self-map of the unit disk"
@@ -178,16 +178,14 @@ class ProbeSpec:
 @dataclass
 class StepRecord:
     """Step n of a run: the values F_n on the probe grid and their
-    statistics over the live points.  lost_at[i] is 0 while probe point i
-    is live and k once map k sent it out of the guarded disk (its value is
-    then NaN)."""
+    statistics over the live points.  values[i] is NaN once the boundary
+    guard has lost probe point i."""
 
     n: int
     values: np.ndarray
     diameter: float
     movement: float
     schwarz_slack: float
-    lost_at: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -227,11 +225,9 @@ def compose_eval(seq, z, n: int | None = None) -> DiskPoint:
     return DiskPoint(val)
 
 
-def _guard(vals: np.ndarray, lost_at: np.ndarray, k: int) -> np.ndarray:
-    """Boundary guard after applying map k to a block of rows: points that
-    left the guarded disk become NaN, and the live ones among them record k
-    in lost_at (updated in place).  Lost points stay NaN under every map,
-    so only a block holding a bad point needs to look at lost_at."""
+def _guard(vals: np.ndarray) -> np.ndarray:
+    """Boundary guard after applying a map to a block of rows: points that
+    left the guarded disk, NaN ones included, become NaN."""
     # `inside(vals, ORBIT_GUARD)` in numpy's complex abs, which is several
     # times faster than hypot on a sweep block.  Its last bit can differ
     # from `modulus`, so a point within an ulp or two of the guard may be
@@ -242,26 +238,23 @@ def _guard(vals: np.ndarray, lost_at: np.ndarray, k: int) -> np.ndarray:
     bad = ~(1.0 - np.abs(vals) >= ORBIT_GUARD)
     if not bad.any():
         return vals
-    lost_at[bad & (lost_at == 0)] = k
     return np.where(bad, np.nan + 0j, vals)
 
 
-def _evaluate_grid(seq, n: int, points: np.ndarray):
-    """F_n on the probe grid with the boundary guard, and each point's
-    lost_at (0 when live, else the inner map that lost it; lost points
-    carry NaN).  The later maps still run on those NaNs, with their
+def _evaluate_grid(seq, n: int, points: np.ndarray) -> np.ndarray:
+    """F_n on the probe grid with the boundary guard: NaN at the points it
+    lost.  The later maps still run on those NaNs, with their
     invalid-value warnings silenced."""
     vals = points.astype(complex)
-    lost_at = np.zeros(vals.shape, dtype=int)
     with np.errstate(invalid="ignore", divide="ignore"):
         for k in range(n, 0, -1):
-            vals = _guard(np.asarray(seq[k - 1](vals), dtype=complex), lost_at, k)
-    return vals, lost_at
+            vals = _guard(np.asarray(seq[k - 1](vals), dtype=complex))
+    return vals
 
 
-def _evaluate_prefixes(seq, N: int, points: np.ndarray):
-    """Rows F_1 ... F_N on the probe grid and their lost_at rows, as
-    _evaluate_grid gives them one n at a time.
+def _evaluate_prefixes(seq, N: int, points: np.ndarray) -> np.ndarray:
+    """Rows F_1 ... F_N on the probe grid, as _evaluate_grid gives them
+    one n at a time.
 
     The newest map is innermost, so F_n cannot reuse the values of F_{n-1}.
     The sweep runs k = N down to 1 instead: row k - 1 starts at the points,
@@ -270,7 +263,6 @@ def _evaluate_prefixes(seq, N: int, points: np.ndarray):
     """
     P = points.size
     vals = np.empty((N, P), dtype=complex)
-    lost_at = np.zeros((N, P), dtype=int)
     step = max(1, _SWEEP_BLOCK // P)
     with np.errstate(invalid="ignore", divide="ignore"):  # maps on lost (NaN) points
         for k in range(N, 0, -1):
@@ -278,39 +270,39 @@ def _evaluate_prefixes(seq, N: int, points: np.ndarray):
             for a in range(k - 1, N, step):
                 b = min(a + step, N)
                 block = np.asarray(seq[k - 1](vals[a:b].ravel()), dtype=complex)
-                vals[a:b] = _guard(block.reshape(b - a, P), lost_at[a:b], k)
-    return vals, lost_at
+                vals[a:b] = _guard(block.reshape(b - a, P))
+    return vals
 
 
-def _pair_pass(live: np.ndarray, base: np.ndarray, idx: np.ndarray | None):
+def _pair_pass(coords: tuple, base: np.ndarray):
     """The largest sinh^2 rho over pairs of live points, and the
     Schwarz-Pick slack: the largest growth rho(F z_i, F z_j) - rho(z_i, z_j)
-    over those pairs, 0.0 when none grew.  base holds sinh^2 rho of the
-    probe pairs and idx the probe index of each live point (None when every
-    point is live).
+    over those pairs, 0.0 when none grew.  coords are the `_coords` of a
+    row of P values, NaN at lost points, and base holds sinh^2 rho of the
+    P x P probe pairs.
 
-    The live points' coordinates and gaps are computed once; the kernel's
-    formula `hyperbolic._sinh2` then covers the upper triangle, diagonal
-    included, in blocks of whole rows of at most _PAIR_BLOCK pairs.  Live
-    gaps are positive, so each pair gets the bits of sinh2_rho, which is
-    symmetric bit for bit and reads 0.0 on the diagonal: both numbers are
-    those of the full matrix, to the bit.
+    The kernel's formula `hyperbolic._sinh2` covers the upper triangle,
+    diagonal included, in blocks of whole rows of at most _PAIR_BLOCK
+    pairs.  A pair with a lost point is NaN: fmax passes over it, and it
+    never compares as grown.  Live gaps are positive, so each live pair
+    gets the bits of sinh2_rho, which is symmetric bit for bit and reads
+    0.0 on the diagonal: both numbers are those of the full matrix over
+    the live points, to the bit.
     """
-    m = live.size
-    step = max(1, _PAIR_BLOCK // m)
-    pts = _coords(live)
+    P = coords[0].size
+    step = max(1, _PAIR_BLOCK // P)
     q_max = slack = 0.0
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        q = _sinh2([c[a:b, None] for c in pts], [c[None, a:] for c in pts])
-        q_base = base[a:b, a:] if idx is None else base[np.ix_(idx[a:b], idx[a:])]
-        q_max = max(q_max, float(np.max(q)))
+    for a in range(0, P, step):
+        b = min(a + step, P)
+        q = _sinh2([c[a:b, None] for c in coords], [c[None, a:] for c in coords])
+        q_base = base[a:b, a:]
+        q_max = np.fmax.reduce(q, axis=None, initial=q_max)
         # Only pairs that moved apart need distances.
         grown = q > q_base
         slack = max(slack, float(np.max(
             np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])), initial=0.0
         )))
-    return q_max, slack
+    return float(q_max), slack
 
 
 def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: float = 1e-8):
@@ -322,12 +314,12 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
     which must stay at rounding level.  The composites come from one
     triangular sweep: N vectorized map calls (more when N P exceeds
     _SWEEP_BLOCK) and N (N + 1) / 2 point evaluations per probe point.
-    The diameter and the slack come from `_pair_pass`: the m live points'
-    coordinates and gaps once per step, then m (m + 1) / 2 pairs over the
-    upper triangle in blocks of rows of at most _PAIR_BLOCK pairs, each
-    compared with the matching block of the probe's own pairs.  The kernel
-    gives (i, j) and (j, i) the same bits and the diagonal 0.0, so the
-    maxima are those of the full m x m matrix, bit for bit.
+    Each step's coordinates and gaps are computed once; they feed its
+    movement, the next step's and `_pair_pass`, which covers P (P + 1) / 2
+    pairs of the upper triangle in blocks of rows of at most _PAIR_BLOCK
+    pairs, each compared with the matching block of the probe's own pairs.
+    The kernel gives (i, j) and (j, i) the same bits and the diagonal 0.0,
+    so the maxima are those of the full matrix, bit for bit.
     """
     probe = probe or ProbeSpec()
     N = len(seq) if n_steps is None else int(n_steps)
@@ -338,18 +330,16 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
         # Vacuous probe: nothing to evaluate, nothing to decide.
         return [], ConvergenceReport(IFSVerdict(kind="undecided"), math.nan)
     base = sinh2_rho(pts[:, None], pts[None, :])
-    rows, lost_at = _evaluate_prefixes(seq, N, pts)
+    rows = _evaluate_prefixes(seq, N, pts)
 
     records: list[StepRecord] = []
-    prev_vals, prev_valid = pts, np.ones(pts.size, dtype=bool)
+    prev = _coords(pts)
     for n in range(1, N + 1):
         vals = rows[n - 1]
-        valid = lost_at[n - 1] == 0
-        live = vals[valid]
+        cur = _coords(vals)
         diameter = slack = math.nan
-        if live.size >= 2:
-            idx = None if live.size == pts.size else np.flatnonzero(valid)
-            q_max, slack = _pair_pass(live, base, idx)
+        if np.count_nonzero(~np.isnan(vals)) >= 2:
+            q_max, slack = _pair_pass(cur, base)
             diameter = rho_of(q_max)
             if slack > 1e-8:
                 raise NumericError(
@@ -357,11 +347,10 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
                     f"slack {slack!r}"
                 )
 
-        both = valid & prev_valid
-        movement = rho_of(np.max(sinh2_rho(vals[both], prev_vals[both]))) if both.any() else math.nan
-
-        records.append(StepRecord(n, vals, diameter, movement, slack, lost_at[n - 1]))
-        prev_vals, prev_valid = vals, valid
+        # NaN when no point is live at both steps.
+        movement = rho_of(np.fmax.reduce(_sinh2(cur, prev)))
+        records.append(StepRecord(n, vals, diameter, movement, slack))
+        prev = cur
 
     report = ConvergenceReport(
         verdict=_classify(records, probe.marker_index, tol),
@@ -403,7 +392,8 @@ def _classify(records: list, marker_index: int, tol: float) -> IFSVerdict:
         and r.movement < tol
         for r in tail
     ):
-        live = records[-1].values[records[-1].lost_at == 0]
+        values = records[-1].values
+        live = values[~np.isnan(values)]
         constant = complex(np.mean(live))
         if rho_of(np.max(sinh2_rho(constant, live))) < tol:
             return IFSVerdict("constant_limit", constant=constant)
@@ -414,7 +404,7 @@ def _classify(records: list, marker_index: int, tol: float) -> IFSVerdict:
     # into nothing but those), so every cluster must hold at least two steps.
     window = records[-12:]
     orbit = [(r.n, complex(r.values[marker_index])) for r in window
-             if not r.lost_at[marker_index]]
+             if not np.isnan(r.values[marker_index])]
     if len(orbit) >= 4:
         groups = _single_linkage([v for _, v in orbit], 10.0 * tol)
         if len(groups) >= 2 and all(len(g) >= 2 for g in groups):

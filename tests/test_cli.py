@@ -186,6 +186,18 @@ def test_cli_exit_code_two_on_command_mismatch(tmp_path):
     assert main(["dw", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["construct-t7", "construct-t8"])
+@pytest.mark.parametrize("n_steps", [0, -2])
+def test_cli_exit_code_two_on_empty_construction(tmp_path, capsys, command, n_steps):
+    # The builder refuses the step count: no traceback from an empty build,
+    # and not the engine's complaint about the system it would have run.
+    cfg = _write(tmp_path, "n.json", {"command": command, "domain": "horodisk(0,0.5)", "N": n_steps})
+    out = tmp_path / "res"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "at least one step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_three_on_numeric_failure(tmp_path):
     # a contraction this slow does not settle in 100 steps: undecided
     # orbits are numeric errors

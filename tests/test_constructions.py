@@ -143,6 +143,9 @@ def test_nonconstant_builder_rejections():
     far = point_at_intrinsic_distance(X, a0, 0.8)
     with pytest.raises(PreconditionError):
         build_nonconstant_system(X, a0, far, 5)  # beyond 1/2
+    for n_steps in (0, -1):
+        with pytest.raises(PreconditionError, match="at least one step"):
+            build_nonconstant_system(X, a0, _w0, n_steps)
 
 
 def test_nonconstant_builder_precision_limit_is_numeric_error():
@@ -225,6 +228,9 @@ def test_alternating_builder_rejections():
         build_alternating_system(X, a, a, 4)
     with pytest.raises(PreconditionError):
         build_alternating_system(X, a, -0.5, 4)
+    for n_steps in (0, -1):
+        with pytest.raises(PreconditionError, match="at least one step"):
+            build_alternating_system(X, a, point_at_intrinsic_distance(X, a, 1.0), n_steps)
 
 
 def test_metric_comparison_report_values():

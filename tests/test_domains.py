@@ -94,6 +94,8 @@ def test_horodisk_rejects_interior_tangency():
         Horodisk(0.5, 0.3)
     with pytest.raises(PreconditionError):
         Horodisk(1.0, 1.2)
+    with pytest.raises(PreconditionError):
+        Horodisk(complex("nan"), 0.5)
 
 
 def test_horodisk_inradius_closed_form_vs_curve_oracle():

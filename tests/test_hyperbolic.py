@@ -175,6 +175,12 @@ def test_mobius_two_point_sends_p_to_q():
         assert abs(rho(T(z), T(w)) - rho(z, w)) < 1e-12
 
 
+def test_mobius_rejects_non_finite_angle():
+    for theta in (math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="finite"):
+            MobiusAut(0.1, theta)
+
+
 def test_rotation_fixes_origin():
     R = MobiusAut.rotation(0.7)
     assert R(0j) == 0j

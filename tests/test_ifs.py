@@ -8,17 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from diskdyn.cli import (
-    _GRID_RADIUS,
-    _GRID_RINGS,
-    _GRID_SPOKES,
-    _engine_results,
-    _trace_lines,
-    emit_outputs,
-)
+from diskdyn.bloch import RadialStretch
+from diskdyn.cli import _GRID_RINGS, _engine_results, _trace_lines, emit_outputs
 from diskdyn.domains import EuclideanSubdisk, Horodisk, parse_domain
 from diskdyn.errors import NumericError, PreconditionError
-from diskdyn.hyperbolic import Blaschke2, MobiusAut, rho, rho_of, sinh2_rho
+from diskdyn.hyperbolic import Blaschke2, MobiusAut, _coords, rho, rho_of, sinh2_rho
 from diskdyn.ifs import (
     ORBIT_GUARD,
     _evaluate_grid,
@@ -43,6 +37,9 @@ def test_affine_validation_and_value():
     assert f(np.array([0.0, 0.2]))[1] == pytest.approx(0.3)
     with pytest.raises(PreconditionError):
         Affine(0.8, 0.3)
+    for scale, offset in ((math.nan, 0.0), (0.5, math.nan), (0.5, complex(0.0, math.nan))):
+        with pytest.raises(PreconditionError):
+            Affine(scale, offset)
 
 
 def test_squaring_value():
@@ -182,7 +179,8 @@ def test_run_guard_records_lost_points():
     steps, report = run(seq)
     step = steps[0]
     assert np.isnan(step.values).all()
-    assert (step.lost_at == 1).all()
+    assert math.isnan(step.diameter) and math.isnan(step.movement)
+    assert _engine_results(steps, report)["steps"][0]["lost_points"] == step.values.size
     assert report.verdict.kind == "undecided"
 
 
@@ -239,16 +237,15 @@ def test_run_partial_losses_measure_live_points():
     pts = probe.points()
     steps, report = run(seq, probe=probe)
     results = _engine_results(steps, report)
-    lost_counts = [int(np.count_nonzero(s.lost_at)) for s in steps]
+    lost_counts = [int(np.isnan(s.values).sum()) for s in steps]
     assert lost_counts[:2] == [0, 0]
     assert all(0 < c < pts.size for c in lost_counts[2:])
-    assert {k for s in steps for k in s.lost_at.tolist()} == {0, 3, 6}
     prev = pts
     for s, out in zip(steps, results["steps"]):
-        assert s.lost_at.tolist() == [_lost_by(seq, s.n, z) for z in pts], s.n
-        assert np.array_equal(s.lost_at == 0, np.isfinite(s.values)), s.n
-        assert out["lost_points"] == np.isnan(s.values).sum(), s.n
-        live = [i for i in range(pts.size) if not s.lost_at[i]]
+        lost = np.isnan(s.values)
+        assert lost.tolist() == [_lost_by(seq, s.n, z) > 0 for z in pts], s.n
+        assert out["lost_points"] == lost.sum(), s.n
+        live = np.flatnonzero(~lost)
         pairs = [(i, j) for i in live for j in live]
         diameter = max(rho(s.values[i], s.values[j]) for i, j in pairs)
         slack = max(rho(s.values[i], s.values[j]) - rho(pts[i], pts[j]) for i, j in pairs)
@@ -262,16 +259,15 @@ def test_run_partial_losses_measure_live_points():
 
 def test_pair_pass_matches_full_matrix():
     # The default 577-point probe spans several row blocks of the pair pass,
-    # and from step 3 on some points are lost, so the blocks take the probe
-    # pairs through the live points' indices.  Diameter and slack must be
-    # those of the full live matrix, bit for bit.
+    # and from step 3 on some points are lost, so the blocks hold NaN pairs.
+    # Diameter and slack must be those of the full live matrix, bit for bit.
     pts = ProbeSpec().points()
     base = sinh2_rho(pts[:, None], pts[None, :])
     steps, _ = run(_partly_lost())
-    lost_counts = [int(np.count_nonzero(s.lost_at)) for s in steps]
+    lost_counts = [int(np.isnan(s.values).sum()) for s in steps]
     assert lost_counts[:2] == [0, 0] and all(0 < c < pts.size - 1 for c in lost_counts[2:])
     for s in steps:
-        valid = s.lost_at == 0
+        valid = ~np.isnan(s.values)
         live = s.values[valid]
         q = sinh2_rho(live[:, None], live[None, :])
         q_base = base[np.ix_(valid, valid)]
@@ -283,8 +279,8 @@ def test_pair_pass_matches_full_matrix():
 
 def test_pair_pass_matches_full_matrix_on_a_random_probe():
     # A probe of 400 random points, so no symmetry of a grid can hide a
-    # block compared with the wrong probe pairs.  Live sets of 300 points
-    # (through idx) and of all 400 (idx None) span several row blocks.
+    # block compared with the wrong probe pairs.  Rows with 300 live points
+    # (NaN at the other 100) and with all 400 span several row blocks.
     # Random images grow some pairs, so the slack is positive; the probe
     # points themselves grow none, so a misaligned block shows as growth.
     rng = np.random.default_rng(11)
@@ -295,20 +291,49 @@ def test_pair_pass_matches_full_matrix_on_a_random_probe():
     pts = points(400)
     base = sinh2_rho(pts[:, None], pts[None, :])
     idx = np.sort(rng.choice(pts.size, 300, replace=False))
-    everyone = np.arange(pts.size)
-    for live, index, grows in (
-        (points(300), idx, True),
-        (points(400), None, True),
-        (pts[idx], idx, False),
-        (pts, None, False),
+
+    def row(live):
+        out = np.full(pts.size, np.nan + 0j)
+        out[idx] = live
+        return out
+
+    for values, grows in (
+        (row(points(300)), True),
+        (points(400), True),
+        (row(pts[idx]), False),
+        (pts, False),
     ):
-        sel = everyone if index is None else index
+        sel = np.flatnonzero(~np.isnan(values))
+        live = values[sel]
         q = sinh2_rho(live[:, None], live[None, :])
         q_base = base[np.ix_(sel, sel)]
         grown = q > q_base
         slack = np.max(np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])), initial=0.0)
         assert (slack > 0.0) == grows
-        assert _pair_pass(live, base, index) == (np.max(q), slack)
+        assert _pair_pass(_coords(values), base) == (np.max(q), slack)
+
+
+def test_run_raises_on_schwarz_pick_violation():
+    # The inverse radial stretch is no holomorphic map: it pulls pairs apart,
+    # and the engine must refuse the step that shows it.
+    stretch = RadialStretch(2.0).inverse_apply
+    with pytest.raises(NumericError, match=r"at step 1: slack 0\.69"):
+        run([stretch] * 3)
+
+
+def test_run_raises_on_schwarz_pick_violation_with_lost_points():
+    # The cut loses the probe points with real part above 0.3 at step 1; the
+    # slack is that of the live pairs alone, the NaN pairs take no part.
+    cut = _Cut(0.3)
+
+    def f(z):
+        return RadialStretch(2.0).inverse_apply(cut(z))
+
+    pts = ProbeSpec().points()
+    lost = np.isnan(_evaluate_grid([f], 1, pts))
+    assert 0 < lost.sum() < pts.size - 1
+    with pytest.raises(NumericError, match=r"at step 1: slack 0\.25986273819109584$"):
+        run([f] * 3)
 
 
 # Pairs of the default 577-point probe: the origin against the outer ring,
@@ -327,7 +352,7 @@ def test_run_diameters_match_50_digit_oracle(domain, seed):
     # Each step's diameter is the distance of its extreme pair to 1e-13
     # relative, and no probe pair lies farther apart.
     steps, _ = run(random_system(parse_domain(domain), seed, 6))
-    assert len(steps) == 6 and all(not s.lost_at.any() for s in steps)
+    assert len(steps) == 6 and all(not np.isnan(s.values).any() for s in steps)
     for s in steps:
         v = s.values
         i, j = np.unravel_index(np.argmax(sinh2_rho(v[:, None], v[None, :])), (v.size, v.size))
@@ -352,15 +377,16 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
         for s in steps
         for i, z in enumerate(s.values)
     )
+    # The polar grid of 12 rings and 24 spokes out to rho 1.2.
     rings = range(1, _GRID_RINGS + 1)
-    src = np.concatenate([ring_points(_GRID_RADIUS * r / _GRID_RINGS, _GRID_SPOKES) for r in rings])
-    img = _evaluate_grid(seq, len(seq), src)[0]
+    src = np.concatenate([ring_points(1.2 * r / _GRID_RINGS, 24) for r in rings])
+    img = _evaluate_grid(seq, len(seq), src)
     grid = io.StringIO()
     writer = csv.writer(grid, lineterminator="\n")
     writer.writerow(["ring", "spoke", "src_re", "src_im", "img_re", "img_im"])
     writer.writerows(
         (r, k, float(z.real), float(z.imag), float(w.real), float(w.imag))
-        for (r, k), z, w in zip(((r, k) for r in rings for k in range(_GRID_SPOKES)), src, img)
+        for (r, k), z, w in zip(((r, k) for r in rings for k in range(24)), src, img)
     )
     assert ",nan,0.0,nan\n" in trace.getvalue() and ",nan,0.0\n" in grid.getvalue()
     assert paths["trace"].read_bytes() == trace.getvalue().encode()
@@ -380,16 +406,14 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
     ids=["disk", "horodisk", "guard", "guard_inner", "partial", "one_row_blocks"],
 )
 def test_prefix_sweep_matches_per_row_evaluation(seq, probe):
-    # Row n of the sweep is F_n evaluated on its own, bit for bit, with the
-    # same lost points; the 577-point rows split into blocks of 14, and the
-    # 8321-point rows are one block each.
+    # Row n of the sweep is F_n evaluated on its own, bit for bit, with NaN
+    # at the same lost points; the 577-point rows split into blocks of 14,
+    # and the 8321-point rows are one block each.
     pts = probe.points()
-    rows, lost_at = _evaluate_prefixes(seq, len(seq), pts)
-    refs = [_evaluate_grid(seq, n, pts) for n in range(1, len(seq) + 1)]
-    assert rows.shape == lost_at.shape == (len(seq), pts.size)
-    for n, (ref, ref_lost_at) in enumerate(refs, start=1):
-        assert np.array_equal(rows[n - 1], ref, equal_nan=True), n
-        assert np.array_equal(lost_at[n - 1], ref_lost_at), n
+    rows = _evaluate_prefixes(seq, len(seq), pts)
+    assert rows.shape == (len(seq), pts.size)
+    for n in range(1, len(seq) + 1):
+        assert np.array_equal(rows[n - 1], _evaluate_grid(seq, n, pts), equal_nan=True), n
 
 
 def test_run_step_count_bounds():
