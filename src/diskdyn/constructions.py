@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainModel, covering_with_basepoint
+from .domains import DomainModel
 from .errors import BoundaryError, NumericError, PreconditionError
 from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, rho
-from .ifs import MapDescriptor, RiemannTo
+from .ifs import MapDescriptor
 
 _CHECK_TOL = 1e-9
 # Deepest deep-point depth the nonconstant builder escalates to.
@@ -64,8 +64,10 @@ def point_at_intrinsic_distance(X: DomainModel, base, distance: float, angle: fl
     intrinsic geodesic leaving base in the given direction."""
     if not X.contains(base):
         raise PreconditionError(f"base point {complex(base)!r} not in {X.describe()}")
-    if distance < 0:
-        raise PreconditionError(f"distance must be >= 0, got {distance!r}")
+    if not 0.0 <= distance < math.inf:
+        raise PreconditionError(f"distance must be finite and >= 0, got {distance!r}")
+    if not math.isfinite(angle):
+        raise PreconditionError(f"angle must be finite, got {angle!r}")
     u0 = complex(X.riemann_from(base))
     step = math.tanh(distance) * cmath.exp(1j * angle)
     return complex(X.riemann_to((step + u0) / (1.0 + u0.conjugate() * step)))
@@ -186,7 +188,7 @@ def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
                     "hit the boundary guard before the step inequalities held "
                     "(the double-precision limit)"
                 ) from exc
-            f = MapDescriptor((splitter, aligner, RiemannTo(X)), target=X)
+            f = MapDescriptor((splitter, aligner), target=X)
             checks, dist_pair, dist_intr, dist_tilde = _nonconstant_checks(
                 n, f, a_prev, w_prev, a_n, complex(w_n), w_tilde, d_prev, d0, X
             )
@@ -252,6 +254,20 @@ def _arc_runs(member: np.ndarray) -> list[tuple[int, int]]:
         ((a + shift) % member.size, b - a)
         for a, b in zip(starts.tolist(), ends.tolist(), strict=True)
     ]
+
+
+def covering_with_basepoint(X: DomainModel, u0, x0, theta: float = 0.0):
+    """The covering of a simply connected entry X pinned at a basepoint.
+
+    Returns the map into X whose chain is m, the automorphism sending u0
+    to the disk coordinate of x0, so the result sends u0 to x0; theta
+    sweeps the residual rotation freedom about the basepoint.  The map is
+    a rho -> rho_X isometry.
+    """
+    if not X.contains(x0):
+        raise PreconditionError(f"basepoint image {complex(x0)!r} not in {X.describe()}")
+    aligner = MobiusAut.two_point(complex(DiskPoint(u0)), X.riemann_from(x0), theta)
+    return MapDescriptor((aligner,), target=X)
 
 
 def build_alternating_system(X: DomainModel, base, value1, n_steps: int):

@@ -421,22 +421,6 @@ class MobiusImage(DomainImage):
         return DiskPoint(self.aut(self.base.deep_point(t)))
 
 
-def covering_with_basepoint(X: DomainModel, u0, x0, theta: float = 0.0):
-    """The covering of a simply connected entry X pinned at a basepoint.
-
-    Returns the map descriptor of rt o m where rt parameterizes X and m
-    is the automorphism sending u0 to the disk coordinate of x0, so the
-    result sends u0 to x0; theta sweeps the residual rotation freedom
-    about the basepoint.  The map is a rho -> rho_X isometry.
-    """
-    from .ifs import MapDescriptor, RiemannTo
-
-    if not X.contains(x0):
-        raise PreconditionError(f"basepoint image {complex(x0)!r} not in {X.describe()}")
-    aligner = MobiusAut.two_point(complex(DiskPoint(u0)), X.riemann_from(x0), theta)
-    return MapDescriptor((aligner, RiemannTo(X)), target=X)
-
-
 _CALL = re.compile(r"^([a-z]+)(?:\((.*)\))?$")
 
 

@@ -236,9 +236,9 @@ class Blaschke2:
         if (b.conjugate() * root).real < 0.0:
             root = -root
         big = -0.5 * (b + root)
+        # The sign makes Re(conj(b) root) >= 0, so |big| >= |small| up to
+        # rounding, and the check below refuses any rounding-level tie.
         small = -c / big
-        if abs(big) < abs(small):
-            big, small = small, big
         if abs(abs(big) - abs(small)) < 1e-14:
             raise NumericError(
                 f"ambiguous preimage ordering for a={self.a!r}, c={c!r}: "

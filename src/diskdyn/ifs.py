@@ -81,28 +81,14 @@ _SELF_MAPS = (MobiusAut, Blaschke2, Affine, Squaring)
 
 
 @dataclass(frozen=True)
-class RiemannTo:
-    """Conformal parameterization piece: unit disk onto the domain."""
-
-    domain: object
-
-    def __post_init__(self):
-        # Fails loudly at construction for entries without a parameterization.
-        self.domain.riemann_to(0j)
-
-    def __call__(self, z):
-        return self.domain.riemann_to(z)
-
-
-@dataclass(frozen=True)
 class MapDescriptor:
     """An ordered chain of primitive pieces, applied left to right.
 
-    A chain with a target domain must have the shape self-maps, then
-    RiemannTo(target): every piece but the last a disk self-map validated
-    when it was built (MobiusAut, Blaschke2, Affine, Squaring), the last
-    the target's parameterization.  Such a chain maps the disk into the
-    target by construction; any other chain with a target is rejected.
+    A map into a target domain X is a chain of disk self-maps validated
+    when they were built (MobiusAut, Blaschke2, Affine, Squaring) followed
+    by X's parameterization `riemann_to`: it maps the disk into X by
+    construction.  A target with any other piece in the chain is
+    rejected, and so is a target with no parameterization.
     """
 
     chain: tuple
@@ -114,22 +100,18 @@ class MapDescriptor:
         object.__setattr__(self, "chain", tuple(self.chain))
         if self.target is None:
             return
-        *inner, last = self.chain
-        if not (
-            isinstance(last, RiemannTo)
-            and last.domain is self.target
-            and all(isinstance(p, _SELF_MAPS) for p in inner)
-        ):
+        if not all(isinstance(p, _SELF_MAPS) for p in self.chain):
             raise PreconditionError(
-                f"a chain into {self.target.describe()} must be disk self-maps "
-                "(MobiusAut, Blaschke2, Affine, Squaring) followed by "
-                "RiemannTo of that target"
+                f"a map into {self.target.describe()} must chain disk self-maps "
+                "(MobiusAut, Blaschke2, Affine, Squaring)"
             )
+        # Fails loudly at construction for entries without a parameterization.
+        self.target.riemann_to(0j)
 
     def __call__(self, z):
         for piece in self.chain:
             z = piece(z)
-        return z
+        return z if self.target is None else self.target.riemann_to(z)
 
 
 @dataclass(frozen=True)
@@ -435,11 +417,13 @@ def denjoy_wolff(f: MapDescriptor, z0, n_steps: int = 1000, tol: float = 1e-10):
     or "boundary" decided by |limit| against 1 - tol; boundary limits are
     snapped to the unit circle.  orbit holds the iterates f(z0), f(f(z0)),
     ... up to the one that stopped the iteration.  Raises when the orbit has not become a
-    Cauchy sequence within n_steps (an undecided run), and rejects a
-    chain of disk automorphisms (MobiusAut, or Affine with |scale| = 1)
-    outright.
+    Cauchy sequence within n_steps (an undecided run).  Rejects outright
+    a step count below 1 and a chain of disk automorphisms (MobiusAut, or
+    Affine with |scale| = 1) with no target.
     """
-    if all(
+    if n_steps < 1:
+        raise PreconditionError(f"need at least one step, got n_steps = {n_steps!r}")
+    if f.target is None and all(
         isinstance(p, MobiusAut) or (isinstance(p, Affine) and abs(p.scale) == 1.0)
         for p in f.chain
     ):
@@ -468,9 +452,8 @@ def denjoy_wolff(f: MapDescriptor, z0, n_steps: int = 1000, tol: float = 1e-10):
 
 
 def random_system(X, seed: int, count: int) -> list[MapDescriptor]:
-    """Seeded random maps into X: each is (automorphism or degree-two
-    Blaschke) followed by the parameterization of X, so the image lies in
-    X by construction."""
+    """Seeded random maps into X: each is an automorphism or a degree-two
+    Blaschke map with target X, so the image lies in X by construction."""
     rng = random.Random(seed)
     out = []
     for _ in range(int(count)):
@@ -481,5 +464,5 @@ def random_system(X, seed: int, count: int) -> list[MapDescriptor]:
             inner = MobiusAut(a, rng.uniform(0.0, 2.0 * math.pi))
         else:
             inner = Blaschke2(a)
-        out.append(MapDescriptor((inner, RiemannTo(X)), target=X))
+        out.append(MapDescriptor((inner,), target=X))
     return out

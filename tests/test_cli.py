@@ -198,6 +198,27 @@ def test_cli_exit_code_two_on_empty_construction(tmp_path, capsys, command, n_st
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_steps", [0, -2])
+def test_cli_exit_code_two_on_dw_without_steps(tmp_path, capsys, n_steps):
+    # No iterate to judge: a refused config, not an undecided orbit.
+    doc = {"command": "dw", "map": "affine(0.5,0.2)", "z0": [0.1, 0], "N": n_steps}
+    cfg = _write(tmp_path, "n.json", doc)
+    out = tmp_path / "res"
+    assert main(["dw", "--config", cfg, "--out", str(out)]) == 2
+    assert "at least one step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_exit_code_two_on_unparameterized_domain(tmp_path, capsys):
+    # A random system needs maps into the domain, and rdense has no
+    # parameterization to build them with.
+    cfg = _write(tmp_path, "r.json", {"command": "ifs-run", "domain": "rdense(0.5,2)", "N": 5})
+    out = tmp_path / "res"
+    assert main(["ifs-run", "--config", cfg, "--out", str(out)]) == 2
+    assert "no conformal parameterization" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_three_on_numeric_failure(tmp_path):
     # a contraction this slow does not settle in 100 steps: undecided
     # orbits are numeric errors

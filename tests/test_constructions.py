@@ -59,6 +59,18 @@ def test_point_at_intrinsic_distance():
         point_at_intrinsic_distance(X, -0.5, 0.3)
 
 
+@pytest.mark.parametrize(
+    "distance, angle, name",
+    [(math.nan, 0.0, "distance"), (math.inf, 0.0, "distance"),
+     (0.3, math.nan, "angle"), (0.3, math.inf, "angle")],
+)
+def test_point_at_intrinsic_distance_rejects_non_finite(distance, angle, name):
+    # Not NaN, nor a point on the unit circle for an infinite distance.
+    X = Horodisk(1.0, 0.5)
+    with pytest.raises(PreconditionError, match=name):
+        point_at_intrinsic_distance(X, complex(X.anchor), distance, angle)
+
+
 def _horodisk_pair(distance=0.3):
     X = Horodisk(1.0, 0.5)
     a0 = complex(X.anchor)

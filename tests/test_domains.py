@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskdyn.bloch import RadialStretch, StretchedDomain
+from diskdyn.constructions import covering_with_basepoint
 from diskdyn.domains import (
     DomainModel,
     EuclideanSubdisk,
     Horodisk,
     MobiusImage,
     RDenseComplement,
-    covering_with_basepoint,
     parse_domain,
 )
 from diskdyn.errors import NumericError, PreconditionError
@@ -361,7 +361,7 @@ def _parameterized_catalog():
 @settings(max_examples=20)
 @given(r=st.floats(0.0, 1.0 - 1e-9), phase=st.floats(0.0, 2.0 * math.pi))
 def test_riemann_to_maps_into_domain(X, r, phase):
-    # A chain into X is accepted by its shape (self-maps, then RiemannTo(X)),
+    # A map into X is trusted by its shape (self-maps, then X.riemann_to),
     # so riemann_to must land in X up to 1e-9 of the circle, in array and
     # in point arithmetic.  Each example checks two rings of 256 points.
     ring = np.exp(1j * (phase + 2.0 * math.pi * np.arange(256) / 256))

@@ -10,7 +10,7 @@ import pytest
 
 from diskdyn.bloch import RadialStretch
 from diskdyn.cli import _GRID_RINGS, _engine_results, _trace_lines, emit_outputs
-from diskdyn.domains import EuclideanSubdisk, Horodisk, parse_domain
+from diskdyn.domains import EuclideanSubdisk, Horodisk, RDenseComplement, parse_domain
 from diskdyn.errors import NumericError, PreconditionError
 from diskdyn.hyperbolic import Blaschke2, MobiusAut, _coords, rho, rho_of, sinh2_rho
 from diskdyn.ifs import (
@@ -21,7 +21,6 @@ from diskdyn.ifs import (
     Affine,
     MapDescriptor,
     ProbeSpec,
-    RiemannTo,
     Squaring,
     compose_eval,
     denjoy_wolff,
@@ -58,27 +57,29 @@ def test_descriptor_requires_nonempty_chain():
 
 
 def test_descriptor_target_validation():
+    # A map into X applies its chain, then X's parameterization: an affine
+    # image reaching 0.7 still lands in the radius-0.3 disk.
     X = EuclideanSubdisk(0j, 0.3)
-    MapDescriptor((Affine(0.1, 0.1), RiemannTo(X)), target=X)  # fine
-    with pytest.raises(PreconditionError):
-        MapDescriptor((Affine(0.5, 0.2),), target=X)  # image reaches 0.7
+    f = MapDescriptor((Affine(0.5, 0.2),), target=X)
+    for z in (0.0, 0.9, -0.5 + 0.7j):
+        assert f(z) == X.riemann_to(0.5 * z + 0.2)
+        assert X.contains(complex(f(z)))
+    # A target with no parameterization fails when the map is built.
+    with pytest.raises(PreconditionError, match="no conformal parameterization"):
+        MapDescriptor((Affine(0.5, 0.2),), target=RDenseComplement(0.5, 2.0))
 
 
 def test_descriptor_target_needs_self_maps_then_riemann_to():
     X = Horodisk(1.0, 0.4)
-    Y = EuclideanSubdisk(0j, 0.3)
-    for chain in (
-        (Blaschke2(0.5), MobiusAut(0.2j, 1.0), Squaring(), RiemannTo(X)),
-        (RiemannTo(X),),
-    ):
-        assert MapDescriptor(chain, target=X).chain == chain
-    for chain in (
-        (MobiusAut(0.2j), RiemannTo(Y)),  # another domain's parameterization
-        (RiemannTo(X), Squaring()),  # parameterization not last
-        (lambda z: 0.5 * z, RiemannTo(X)),  # a piece nothing validated
-    ):
-        with pytest.raises(PreconditionError, match="followed by RiemannTo"):
-            MapDescriptor(chain, target=X)
+    chain = (Blaschke2(0.5), MobiusAut(0.2j, 1.0), Squaring())
+    f = MapDescriptor(chain, target=X)
+    assert f.chain == chain
+    z = 0.3 - 0.2j
+    assert f(z) == X.riemann_to(MapDescriptor(chain)(z))
+    with pytest.raises(PreconditionError, match="must chain disk self-maps"):
+        MapDescriptor((lambda z: 0.5 * z,), target=X)  # a piece nothing validated
+    with pytest.raises(PreconditionError, match="must chain disk self-maps"):
+        MapDescriptor((MobiusAut(0.2j), lambda z: 0.5 * z), target=X)
 
 
 def test_compose_eval_two_blaschke_oracle():
@@ -507,6 +508,22 @@ def test_denjoy_wolff_rejects_automorphism_chains(chain):
     # every piece an automorphism: the chain is one, whatever it composes to
     with pytest.raises(PreconditionError):
         denjoy_wolff(MapDescriptor(chain), 0.2j)
+
+
+def test_denjoy_wolff_accepts_an_automorphism_into_a_domain():
+    # The chain is one automorphism, but the map lands in X: not an
+    # automorphism of the disk, so it has a limit.
+    X = EuclideanSubdisk(0j, 0.3)
+    f = MapDescriptor((MobiusAut(0.3 + 0.1j, 1.0),), target=X)
+    limit, where, _orbit = denjoy_wolff(f, 0.5)
+    assert where == "interior"
+    assert limit == (0.0004916859716377936 - 0.10821951601984825j)
+
+
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_denjoy_wolff_needs_a_step(n_steps):
+    with pytest.raises(PreconditionError, match="at least one step"):
+        denjoy_wolff(MapDescriptor((Affine(0.5, 0.2),)), 0.1, n_steps=n_steps)
 
 
 def test_denjoy_wolff_undecided_is_numeric_error():
