@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,11 @@ from .ifs import (
 )
 
 _GRID_RINGS = 12
+
+# trace.csv is formatted a block of whole steps of at most this many values
+# at a time: enough to share repeated values, few enough to keep the
+# block's strings small.
+_FORMAT_BLOCK = 2048
 
 _REQUIRED = object()
 
@@ -282,6 +287,16 @@ def _engine_results(steps, report) -> dict:
     }
 
 
+def _reprs(a: np.ndarray) -> list:
+    """repr of each double of the float array a, as a list of strings.
+    Each distinct bit pattern is formatted once, in one repr of the list
+    of distinct values; keying by bits keeps -0.0 apart from 0.0, which
+    compare equal."""
+    keys, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    distinct = repr(keys.view(float).tolist())[1:-1].split(", ")
+    return np.array(distinct, dtype=object)[inverse].tolist()
+
+
 def _csv_lines(heads, values, tails):
     """CSV lines "head,re,im" + tail, one per complex value, with the
     floats as repr writes them: the bytes csv.writer gives (nan too).
@@ -290,10 +305,22 @@ def _csv_lines(heads, values, tails):
 
 
 def _trace_lines(steps):
-    """trace.csv's rows, step by step; each step formats its diameter once."""
-    for step in steps:
-        heads = (f"{step.n},{i}" for i in range(step.values.size))
-        yield from _csv_lines(heads, step.values, repeat(f",{float(step.diameter)!r}"))
+    """trace.csv's rows, a block of whole steps of at most _FORMAT_BLOCK
+    values at a time (one step when a step is longer), so only one
+    block's strings are alive.  Each distinct double of a block's re, im
+    and diameters is formatted once, by bit pattern."""
+    if not steps:
+        return
+    P = steps[0].values.size
+    indices = [str(i) for i in range(P)]
+    per = max(1, _FORMAT_BLOCK // P)
+    for a in range(0, len(steps), per):
+        block = steps[a:a + per]
+        values = np.concatenate([s.values for s in block])
+        diameters = _reprs(np.array([s.diameter for s in block], dtype=float))
+        heads = chain.from_iterable(map(f"{s.n},".__add__, indices) for s in block)
+        tails = chain.from_iterable(repeat(f"{d}\n", P) for d in diameters)
+        yield from map(",".join, zip(heads, _reprs(values.real), _reprs(values.imag), tails))
 
 
 def _budget(options: dict) -> SearchBudget:

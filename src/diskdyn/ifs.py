@@ -13,7 +13,9 @@ upper triangle of the pair matrix in sinh^2 rho, a block of rows at a
 time, so its temporaries stay in cache.  A lost probe point is NaN, its
 only record, and its pairs drop out of every maximum.  The distance
 kernel is symmetric bit for bit and reads 0.0 on the diagonal, so the
-numbers equal the full matrix's over the live points.
+numbers equal the full matrix's over the live points.  A row whose live
+values are all one point skips the pass: every pair of it is 0.0, so the
+pass would give a diameter and a slack of 0.0, the numbers it records.
 """
 from __future__ import annotations
 
@@ -301,7 +303,11 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
     pairs of the upper triangle in blocks of rows of at most _PAIR_BLOCK
     pairs, each compared with the matching block of the probe's own pairs.
     The kernel gives (i, j) and (j, i) the same bits and the diagonal 0.0,
-    so the maxima are those of the full matrix, bit for bit.
+    so the maxima are those of the full matrix, bit for bit.  A row that
+    collapsed to one point (its live values all equal, -0.0 and 0.0
+    alike) skips the pass: every coordinate difference is 0.0, so every
+    pair is 0.0 and the pass would give 0.0 for both numbers, which the
+    row records without it.
     """
     probe = probe or ProbeSpec()
     N = len(seq) if n_steps is None else int(n_steps)
@@ -320,8 +326,11 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
         vals = rows[n - 1]
         cur = _coords(vals)
         diameter = slack = math.nan
-        if np.count_nonzero(~np.isnan(vals)) >= 2:
-            q_max, slack = _pair_pass(cur, base)
+        live = vals[~np.isnan(vals)]
+        if live.size >= 2:
+            # A row collapsed to one point: every pair is 0.0, as in the pass.
+            collapsed = (live == live[0]).all()
+            q_max, slack = (0.0, 0.0) if collapsed else _pair_pass(cur, base)
             diameter = rho_of(q_max)
             if slack > 1e-8:
                 raise NumericError(

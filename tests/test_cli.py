@@ -2,9 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from diskdyn.cli import RunConfig, main, parse_config, parse_map
+from diskdyn.cli import RunConfig, _reprs, main, parse_config, parse_map
 from diskdyn.errors import ConfigError
 from diskdyn.hyperbolic import MobiusAut
 from diskdyn.ifs import Affine, Squaring
@@ -356,3 +359,37 @@ def test_run_config_serialize_skips_unset_optionals():
     assert "base" not in doc and "value1" not in doc
     assert doc["N"] == 12
     assert isinstance(cfg, RunConfig)
+
+
+# Doubles where repr is easy to get wrong: both zeros, NaN of either sign,
+# the infinities, subnormals, and the neighbours of 1e-5 and 1e16, where
+# repr switches between positional and exponent form.
+_TRICKY_DOUBLES = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+    *(float(np.nextafter(1e-5, t)) for t in (0.0, 1.0)), 1e-5, -1e-5, 1e-4,
+    *(float(np.nextafter(1e16, t)) for t in (0.0, 2e16)), 1e16, -1e16, 9999999999999998.0,
+]
+# A pool of doubles and their negatives, then an array drawn from it with
+# repeats.
+_REPEATING_DOUBLES = st.lists(
+    st.sampled_from(_TRICKY_DOUBLES) | st.floats(allow_nan=True, allow_infinity=True),
+    min_size=1,
+    max_size=8,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool + [-x for x in pool]), max_size=64))
+
+
+@given(_REPEATING_DOUBLES, _REPEATING_DOUBLES)
+@example([0.0, -0.0, -0.0, 0.0], [math.nan, -math.nan])
+def test_reprs_match_repr(xs, ys):
+    # The helper keys the doubles by bit pattern; a helper that merges
+    # equal values would print -0.0 as 0.0 or the reverse.
+    for x in (xs, ys):
+        a = np.array(x, dtype=float)
+        assert _reprs(a) == [repr(v) for v in a.tolist()]
+    # The real and imaginary parts of a complex array are strided views.
+    n = min(len(xs), len(ys))
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = xs[:n], ys[:n]
+    assert _reprs(z.real) == [repr(v) for v in xs[:n]]
+    assert _reprs(z.imag) == [repr(v) for v in ys[:n]]

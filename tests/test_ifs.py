@@ -8,8 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import diskdyn.cli
+import diskdyn.ifs
 from diskdyn.bloch import RadialStretch
-from diskdyn.cli import _GRID_RINGS, _engine_results, _trace_lines, emit_outputs
+from diskdyn.cli import _FORMAT_BLOCK, _GRID_RINGS, _engine_results, _trace_lines, emit_outputs
 from diskdyn.domains import EuclideanSubdisk, Horodisk, RDenseComplement, parse_domain
 from diskdyn.errors import NumericError, PreconditionError
 from diskdyn.hyperbolic import Blaschke2, MobiusAut, _coords, rho, rho_of, sinh2_rho
@@ -392,6 +394,113 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
     assert ",nan,0.0,nan\n" in trace.getvalue() and ",nan,0.0\n" in grid.getvalue()
     assert paths["trace"].read_bytes() == trace.getvalue().encode()
     assert paths["grid"].read_bytes() == grid.getvalue().encode()
+
+
+def _collapsing_run():
+    # Steps 26 to 40 of this constant-limit run have collapsed to one point.
+    return run(random_system(parse_domain("disk(0,0,0.3)"), 1, 40))[0]
+
+
+def test_trace_csv_bytes_match_csv_writer_across_blocks(tmp_path):
+    # 40 steps of 577 points are 14 blocks of whole steps, and the collapsed
+    # steps repeat one value and one diameter.
+    steps = _collapsing_run()
+    assert 577 * 2 < _FORMAT_BLOCK < 577 * 40
+    paths = emit_outputs(tmp_path, {}, _trace_lines(steps))
+    trace = io.StringIO()
+    writer = csv.writer(trace, lineterminator="\n")
+    writer.writerow(["n", "probe_index", "re", "im", "diameter"])
+    writer.writerows(
+        (s.n, i, float(z.real), float(z.imag), float(s.diameter))
+        for s in steps
+        for i, z in enumerate(s.values)
+    )
+    assert ",0.0\n" in trace.getvalue()
+    assert paths["trace"].read_bytes() == trace.getvalue().encode()
+
+
+def test_trace_lines_format_one_block_at_a_time(monkeypatch):
+    # The first line formats the first block's doubles and no more, so a
+    # trace never holds the strings of the whole run at once.
+    steps = _collapsing_run()
+    sizes = []
+
+    def counting(a):
+        sizes.append(a.size)
+        return reprs(a)
+
+    reprs = diskdyn.cli._reprs
+    monkeypatch.setattr(diskdyn.cli, "_reprs", counting)
+    lines = _trace_lines(steps)
+    z = complex(steps[0].values[0])
+    assert next(lines) == f"1,0,{z.real!r},{z.imag!r},{float(steps[0].diameter)!r}\n"
+    per = _FORMAT_BLOCK // 577
+    assert sorted(sizes) == [per, per * 577, per * 577]
+    assert len(list(lines)) == 40 * 577 - 1
+    assert sum(sizes) == 40 + 2 * 40 * 577
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def test_collapsed_rows_skip_the_pair_pass_with_its_numbers(monkeypatch):
+    steps = _collapsing_run()
+    base = sinh2_rho(ProbeSpec().points()[:, None], ProbeSpec().points()[None, :])
+    collapsed = [s for s in steps if np.unique(s.values).size == 1]
+    assert 0 < len(collapsed) < len(steps)
+    for s in steps:
+        q_max, slack = _pair_pass(_coords(s.values), base)
+        assert (_bits(s.diameter), _bits(s.schwarz_slack)) == (_bits(rho_of(q_max)), _bits(slack)), s.n
+    calls = []
+
+    def counting(coords, base):
+        calls.append(coords[0].size)
+        return pair_pass(coords, base)
+
+    pair_pass = diskdyn.ifs._pair_pass
+    monkeypatch.setattr(diskdyn.ifs, "_pair_pass", counting)
+    assert [(s.diameter, s.schwarz_slack) for s in _collapsing_run()] == [
+        (s.diameter, s.schwarz_slack) for s in steps
+    ]
+    assert len(calls) == len(steps) - len(collapsed)
+
+
+class _Collapse:
+    """z -> `value`, except that points with real part above `edge` land on
+    the circle at 1 and are lost."""
+
+    def __init__(self, value, edge):
+        self.value, self.edge = value, edge
+
+    def __call__(self, z):
+        return np.where(np.real(z) > self.edge, 1.0 + 0j, self.value)
+
+
+class _SignedZero:
+    """z -> 0, as +0.0 + 0.0j on the right half-plane and -0.0 - 0.0j elsewhere."""
+
+    def __call__(self, z):
+        return np.where(np.real(z) > 0.0, 0j, complex(-0.0, -0.0))
+
+
+@pytest.mark.parametrize("piece", [_Collapse(0.2 + 0.1j, edge=0.3), _SignedZero()], ids=["lost", "signed_zero"])
+def test_collapsed_row_reads_the_pair_pass_numbers(piece, monkeypatch):
+    # A row whose live values are one point, with lost points around it or
+    # with zeros of both signs, records a diameter and a slack of 0.0 as
+    # the pass does, and skips the pass.
+    seq = [MapDescriptor((piece,))]
+    probe = ProbeSpec(rings=3, spokes=8)
+    vals = _evaluate_grid(seq, 1, probe.points())
+    live = vals[~np.isnan(vals)]
+    assert live.size >= 2 and (live == live[0]).all()
+    assert len({(_bits(z.real), _bits(z.imag)) for z in live}) == (2 if isinstance(piece, _SignedZero) else 1)
+    assert np.isnan(vals).any() == isinstance(piece, _Collapse)
+    base = sinh2_rho(probe.points()[:, None], probe.points()[None, :])
+    assert tuple(map(_bits, _pair_pass(_coords(vals), base))) == (_bits(0.0), _bits(0.0))
+    monkeypatch.setattr(diskdyn.ifs, "_pair_pass", None)
+    (step,), _ = run(seq, probe=probe)
+    assert (_bits(step.diameter), _bits(step.schwarz_slack)) == (_bits(0.0), _bits(0.0))
 
 
 @pytest.mark.parametrize(
