@@ -47,14 +47,17 @@ class SearchBudget:
     witness_samples: int = 10000
 
     def __post_init__(self):
-        if self.depth <= 0 or self.ring_step <= 0:
-            raise PreconditionError("search budget needs positive depth and ring_step")
-        if self.refine_iters < 0 or self.angular_cap < 1:
-            raise PreconditionError("search budget counts must be positive")
-        if self.witness_samples < 10_000:
+        # Negated bounds, so NaN fails them as well as inf.
+        if not (0 < self.depth < math.inf and 0 < self.ring_step < math.inf):
+            raise PreconditionError("search budget needs finite positive depth and ring_step")
+        if not (0 <= self.refine_iters < math.inf and 1 <= self.angular_cap < math.inf):
+            raise PreconditionError("search budget counts must be finite and positive")
+        if not 10_000 <= self.witness_samples < math.inf:
             # witness verdicts are lower bounds; certification is only
             # meaningful with a dense membership sample
-            raise PreconditionError("witness certification needs >= 10000 samples")
+            raise PreconditionError("witness certification needs a finite witness_samples >= 10000")
+        if not math.isfinite(self.witness_threshold):
+            raise PreconditionError("search budget needs a finite witness_threshold")
 
 
 @dataclass(frozen=True)

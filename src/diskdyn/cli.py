@@ -329,7 +329,7 @@ def _budget(options: dict) -> SearchBudget:
 
 def _run_bloch(options: dict):
     X = parse_domain(options["domain"])
-    return _bloch_results(bloch_radius_search(X, _budget(options))), [], None
+    return _bloch_results(bloch_radius_search(X, _budget(options))), [], ()
 
 
 def _run_qc(options: dict):
@@ -343,7 +343,7 @@ def _run_qc(options: dict):
         "stretched": _bloch_results(stretched),
         "verdict_preserved": baseline.verdict.kind == stretched.verdict.kind,
     }
-    return results, [], None
+    return results, [], ()
 
 
 def _run_ifs(options: dict):
@@ -389,7 +389,7 @@ def _run_t8(options: dict):
     even_err = 0.0
     odd_err = 0.0
     for n in range(1, options["N"] + 1):
-        v = complex(compose_eval(seq, base, n))
+        v = complex(compose_eval(seq[:n], base))
         if n % 2 == 0:
             even_err = max(even_err, abs(v - base))
         else:
@@ -430,22 +430,22 @@ def _run_verify(options: dict):
         options["seed"],
         options["args_per_modulus"],
     )
-    return {"metric_comparison": metric, "preimage_convergence": preimage}, [], None
+    return {"metric_comparison": metric, "preimage_convergence": preimage}, [], ()
 
 
 _COMMON_KEYS = {"seed": (_check_int, 0), "out": (_check_str, "out")}
 _BUDGET_SCHEMA = _schema_of(SearchBudget)
 _DOMAIN_KEY = {"domain": (_check_str, _REQUIRED)}
 
-# Each command's config keys (check, default) and its runner, which
-# returns (results, trace.csv's lines, the map sequence behind grid.csv).
+# Each command's config keys (check, default) and its runner, which returns
+# (results, trace.csv's lines, the maps behind grid.csv, () for none).
 _COMMANDS = {
     "bloch": ({**_DOMAIN_KEY, **_BUDGET_SCHEMA}, _run_bloch),
     "ifs-run": (
         {
             **_DOMAIN_KEY,
             "N": (_check_int, 50),
-            **_schema_of(run, skip=("probe", "n_steps")),
+            **_schema_of(run, skip=("probe",)),
             # marked points are for the builders' runs, not for configs
             "probe": (_check_object(_schema_of(ProbeSpec, skip=("marked",))), {}),
         },
@@ -497,13 +497,13 @@ COMMANDS = tuple(_COMMANDS)
 def _grid_lines(seq):
     grid = ProbeSpec(rings=_GRID_RINGS, origin=False)
     pts = grid.points()
-    img = _evaluate_grid(seq, len(seq), pts) if seq else pts
+    img = _evaluate_grid(seq, pts)
     heads = (f"{ring},{spoke}" for ring in range(1, grid.rings + 1) for spoke in range(grid.spokes))
     tails = (f",{x!r},{y!r}" for x, y in zip(img.real.tolist(), img.imag.tolist()))
     return _csv_lines(heads, pts, tails)
 
 
-def emit_outputs(out_dir, report: dict, trace_lines=(), seq=None) -> dict:
+def emit_outputs(out_dir, report: dict, trace_lines=(), seq=()) -> dict:
     """Write trace.csv, report.json, and grid.csv under out_dir; returns
     their paths by name."""
     out = Path(out_dir)

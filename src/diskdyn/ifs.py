@@ -195,23 +195,19 @@ class ConvergenceReport:
     schwarz_max: float
 
 
-def compose_eval(seq, z, n: int | None = None) -> DiskPoint:
-    """F_n(z) = f_1(f_2(... f_n(z))); the innermost map is f_n.
-
-    n = 0 is the empty composition (identity).
-    """
-    n = len(seq) if n is None else int(n)
-    if not 0 <= n <= len(seq):
-        raise PreconditionError(f"composition length {n} exceeds sequence {len(seq)}")
+def compose_eval(seq, z) -> DiskPoint:
+    """f_1(f_2(... f_n(z))) for seq = (f_1, ..., f_n), the innermost map
+    f_n; F_n(z) is compose_eval(seq[:n], z), and an empty seq the identity."""
     val = complex(z)
-    for k in reversed(range(n)):
-        val = seq[k](val)
+    for f in reversed(seq):
+        val = f(val)
     return DiskPoint(val)
 
 
-def _guard(vals: np.ndarray) -> np.ndarray:
-    """Boundary guard after applying a map to a block of rows: points that
-    left the guarded disk, NaN ones included, become NaN."""
+def _guard(vals) -> np.ndarray:
+    """What a map returned, as a complex array under the boundary guard:
+    points that left the guarded disk, NaN ones included, become NaN."""
+    vals = np.asarray(vals, dtype=complex)
     # `inside(vals, ORBIT_GUARD)` in numpy's complex abs, which is several
     # times faster than hypot on a sweep block.  Its last bit can differ
     # from `modulus`, so a point within an ulp or two of the guard may be
@@ -225,27 +221,30 @@ def _guard(vals: np.ndarray) -> np.ndarray:
     return np.where(bad, np.nan + 0j, vals)
 
 
-def _evaluate_grid(seq, n: int, points: np.ndarray) -> np.ndarray:
-    """F_n on the probe grid with the boundary guard: NaN at the points it
-    lost.  The later maps still run on those NaNs, with their
-    invalid-value warnings silenced."""
+def _evaluate_grid(seq, points: np.ndarray) -> np.ndarray:
+    """The composite of seq on the probe grid with the boundary guard: NaN
+    at the points it lost, and the points themselves for an empty seq.
+    The later maps still run on those NaNs, with their invalid-value
+    warnings silenced."""
     vals = points.astype(complex)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for k in range(n, 0, -1):
-            vals = _guard(np.asarray(seq[k - 1](vals), dtype=complex))
+        for f in reversed(seq):
+            vals = _guard(f(vals))
     return vals
 
 
-def _evaluate_prefixes(seq, N: int, points: np.ndarray) -> np.ndarray:
-    """Rows F_1 ... F_N on the probe grid, as _evaluate_grid gives them
-    one n at a time.
+def _evaluate_prefixes(seq, points: np.ndarray) -> np.ndarray:
+    """Rows F_1 ... F_N on the probe grid for the N maps of seq, row n - 1
+    as _evaluate_grid(seq[:n], points) gives it.
 
     The newest map is innermost, so F_n cannot reuse the values of F_{n-1}.
     The sweep runs k = N down to 1 instead: row k - 1 starts at the points,
-    then one vectorized call applies f_k to every row n >= k, in blocks of
-    at most _SWEEP_BLOCK points.
+    then one vectorized call applies f_k to the block of every row n >= k,
+    in blocks of whole rows of at most _SWEEP_BLOCK points.  Every map
+    acts elementwise, so a 2-D block gives each point the bits it gets in
+    a row of its own.
     """
-    P = points.size
+    N, P = len(seq), points.size
     vals = np.empty((N, P), dtype=complex)
     step = max(1, _SWEEP_BLOCK // P)
     with np.errstate(invalid="ignore", divide="ignore"):  # maps on lost (NaN) points
@@ -253,8 +252,7 @@ def _evaluate_prefixes(seq, N: int, points: np.ndarray) -> np.ndarray:
             vals[k - 1] = points
             for a in range(k - 1, N, step):
                 b = min(a + step, N)
-                block = np.asarray(seq[k - 1](vals[a:b].ravel()), dtype=complex)
-                vals[a:b] = _guard(block.reshape(b - a, P))
+                vals[a:b] = _guard(seq[k - 1](vals[a:b]))
     return vals
 
 
@@ -289,8 +287,9 @@ def _pair_pass(coords: tuple, base: np.ndarray):
     return float(q_max), slack
 
 
-def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: float = 1e-8):
-    """Evaluate F_1 ... F_N on the probe grid and classify the tail.
+def run(seq, probe: ProbeSpec | None = None, tol: float = 1e-8):
+    """Evaluate F_1 ... F_N for the N >= 1 maps of seq on the probe grid
+    and classify the tail; a run of the first n maps is run(seq[:n]).
 
     Returns (steps, ConvergenceReport), one StepRecord per n.  Every step
     records, over its live points, the rho-diameter of the probe image,
@@ -309,21 +308,19 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
     pair is 0.0 and the pass would give 0.0 for both numbers, which the
     row records without it.
     """
+    if not seq:
+        raise PreconditionError("a run needs at least one map")
     probe = probe or ProbeSpec()
-    N = len(seq) if n_steps is None else int(n_steps)
-    if N < 1 or N > len(seq):
-        raise PreconditionError(f"step count {N} not in 1..{len(seq)}")
     pts = probe.points()
     if pts.size == 0:
         # Vacuous probe: nothing to evaluate, nothing to decide.
         return [], ConvergenceReport(IFSVerdict(kind="undecided"), math.nan)
     base = sinh2_rho(pts[:, None], pts[None, :])
-    rows = _evaluate_prefixes(seq, N, pts)
+    rows = _evaluate_prefixes(seq, pts)
 
     records: list[StepRecord] = []
     prev = _coords(pts)
-    for n in range(1, N + 1):
-        vals = rows[n - 1]
+    for n, vals in enumerate(rows, 1):
         cur = _coords(vals)
         diameter = slack = math.nan
         live = vals[~np.isnan(vals)]
@@ -351,25 +348,21 @@ def run(seq, probe: ProbeSpec | None = None, n_steps: int | None = None, tol: fl
 
 
 def _single_linkage(values: list, threshold: float) -> list[list[int]]:
-    """Indices grouped by transitive rho-closeness below threshold."""
-    parent = list(range(len(values)))
+    """Indices grouped by transitive rho-closeness below threshold, each
+    group in index order and the groups in the order of their first index.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if rho(values[i], values[j]) < threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(values)):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[k] for k in sorted(groups)]
+    Label propagation: each point starts labelled with its index, then
+    takes the least label among its own and its near points' for
+    len(values) rounds, as a label spreads one link a round.  np.minimum
+    keeps the own label: a threshold <= 0 leaves the diagonal not near.
+    """
+    n = len(values)
+    near = np.fromiter((rho(a, b) < threshold for a in values for b in values), bool).reshape(n, n)
+    labels = np.arange(n)
+    for _ in range(n):
+        labels = np.minimum(labels, np.where(near, labels, n).min(axis=1, initial=n))
+    # A group's label is its least index, the one point that keeps its own.
+    return [np.flatnonzero(labels == k).tolist() for k in range(n) if labels[k] == k]
 
 
 def _classify(records: list, marker_index: int, tol: float) -> IFSVerdict:

@@ -1,0 +1,35 @@
+"""The benchmark's output checks still pass on runs of the current package.
+
+`bench/checks.py` calls the library directly (`compose_eval(seq, 0j)`,
+`rho_grid`, `witness_disk_verify`, ...), so an API change that breaks it
+shows here, without a benchmark run.
+"""
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from diskdyn.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"command": "ifs-run", "domain": "disk(0,0,0.3)"},
+        {"command": "bloch", "domain": "disk(0,0,0.3)"},
+    ],
+    ids=["ifs-run", "bloch"],
+)
+def test_bench_checks_pass(tmp_path, monkeypatch, cfg):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "checks", raising=False)
+    import checks
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([cfg["command"], "--config", str(path), "--out", str(out)]) == 0
+    assert checks.check(cfg, out) is None

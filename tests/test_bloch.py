@@ -222,6 +222,26 @@ def test_budget_validation():
         SearchBudget(witness_samples=10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "knob", ["depth", "ring_step", "angular_cap", "refine_iters", "witness_threshold", "witness_samples"]
+)
+def test_budget_rejects_non_finite(knob, bad):
+    # A NaN or infinite knob is refused when the budget is built, not met
+    # later as a ValueError from int(depth) or a silent search.
+    with pytest.raises(PreconditionError):
+        SearchBudget(**{knob: bad})
+
+
+def test_subdisk_witness_certifies_on_the_second_shrink():
+    # The full inradius fails sample certification; the witness is the
+    # ladder's second rung, 1e-12 below it.
+    rep = bloch_radius_search(EuclideanSubdisk(0j, 0.8))
+    assert rep.verdict == Verdict("non_bloch_witness", rep.best_inradius - 1e-12)
+    assert rep.best_inradius == 1.0986122886681098
+    assert not witness_disk_verify(EuclideanSubdisk(0j, 0.8), HyperbolicDisk(0j, rep.best_inradius), 10_000)
+
+
 def test_search_depth_past_the_disk_edge_adds_nothing():
     # No lattice ring past artanh(1 - 1e-15) ~ 17.6 holds a disk point, so
     # a depth of 400 searches what the default depth does.

@@ -118,7 +118,7 @@ def test_nonconstant_builder_final_pins():
     assert abs(complex(compose_eval(seq, tilde)) - w0) < 1e-8
     # every partial composite pins the origin orbit to a0 as well
     for n in (1, 5, 13, 20):
-        assert abs(complex(compose_eval(seq, 0j, n)) - a0) < 1e-8
+        assert abs(complex(compose_eval(seq[:n], 0j)) - a0) < 1e-8
 
 
 def test_nonconstant_engine_verdict():
@@ -200,7 +200,7 @@ def test_alternating_builder_period_two():
         assert all(s.checks.values()), (s.n, s.checks)
         assert X.contains(s.value)
     for n in range(1, 13):
-        v = complex(compose_eval(seq, a, n))
+        v = complex(compose_eval(seq[:n], a))
         target = a if n % 2 == 0 else a1
         assert abs(v - target) < 1e-8
     # the sweep circle radius equals the previous intrinsic distance
@@ -226,7 +226,7 @@ def test_alternating_builder_on_transported_domain():
     a1 = point_at_intrinsic_distance(Y, a, 1.0, 0.7)
     seq, steps = build_alternating_system(Y, a, a1, 6)
     for n in range(1, 7):
-        v = complex(compose_eval(seq, a, n))
+        v = complex(compose_eval(seq[:n], a))
         target = a if n % 2 == 0 else a1
         assert abs(v - target) < 1e-8
 

@@ -7,6 +7,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import diskdyn.cli
 import diskdyn.ifs
@@ -20,6 +22,7 @@ from diskdyn.ifs import (
     _evaluate_grid,
     _evaluate_prefixes,
     _pair_pass,
+    _single_linkage,
     Affine,
     MapDescriptor,
     ProbeSpec,
@@ -97,7 +100,7 @@ def test_compose_eval_identity_and_order():
         MapDescriptor((Squaring(),)),
     ]
     z = 0.6
-    assert complex(compose_eval(seq, z, 0)) == z
+    assert complex(compose_eval(seq[:0], z)) == z
     # f_2 (innermost) squares first, then the affine map
     assert complex(compose_eval(seq, z)) == pytest.approx(0.5 * z**2 + 0.2)
 
@@ -333,7 +336,7 @@ def test_run_raises_on_schwarz_pick_violation_with_lost_points():
         return RadialStretch(2.0).inverse_apply(cut(z))
 
     pts = ProbeSpec().points()
-    lost = np.isnan(_evaluate_grid([f], 1, pts))
+    lost = np.isnan(_evaluate_grid([f], pts))
     assert 0 < lost.sum() < pts.size - 1
     with pytest.raises(NumericError, match=r"at step 1: slack 0\.25986273819109584$"):
         run([f] * 3)
@@ -383,7 +386,7 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
     # The polar grid of 12 rings and 24 spokes out to rho 1.2.
     rings = range(1, _GRID_RINGS + 1)
     src = np.concatenate([ring_points(1.2 * r / _GRID_RINGS, 24) for r in rings])
-    img = _evaluate_grid(seq, len(seq), src)
+    img = _evaluate_grid(seq, src)
     grid = io.StringIO()
     writer = csv.writer(grid, lineterminator="\n")
     writer.writerow(["ring", "spoke", "src_re", "src_im", "img_re", "img_im"])
@@ -491,7 +494,7 @@ def test_collapsed_row_reads_the_pair_pass_numbers(piece, monkeypatch):
     # the pass does, and skips the pass.
     seq = [MapDescriptor((piece,))]
     probe = ProbeSpec(rings=3, spokes=8)
-    vals = _evaluate_grid(seq, 1, probe.points())
+    vals = _evaluate_grid(seq, probe.points())
     live = vals[~np.isnan(vals)]
     assert live.size >= 2 and (live == live[0]).all()
     assert len({(_bits(z.real), _bits(z.imag)) for z in live}) == (2 if isinstance(piece, _SignedZero) else 1)
@@ -520,18 +523,57 @@ def test_prefix_sweep_matches_per_row_evaluation(seq, probe):
     # at the same lost points; the 577-point rows split into blocks of 14,
     # and the 8321-point rows are one block each.
     pts = probe.points()
-    rows = _evaluate_prefixes(seq, len(seq), pts)
+    rows = _evaluate_prefixes(seq, pts)
     assert rows.shape == (len(seq), pts.size)
     for n in range(1, len(seq) + 1):
-        assert np.array_equal(rows[n - 1], _evaluate_grid(seq, n, pts), equal_nan=True), n
+        assert np.array_equal(rows[n - 1], _evaluate_grid(seq[:n], pts), equal_nan=True), n
 
 
 def test_run_step_count_bounds():
-    seq = random_system(EuclideanSubdisk(0j, 0.3), seed=3, count=5)
+    # A run needs a map; its prefixes are slices, run(seq[:n]).
     with pytest.raises(PreconditionError):
-        run(seq, n_steps=6)
-    with pytest.raises(PreconditionError):
-        run(seq, n_steps=0)
+        run([])
+
+
+def _union_find_linkage(values, threshold):
+    # The union-find that grouped orbit points before label propagation.
+    parent = list(range(len(values)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if rho(values[i], values[j]) < threshold:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(values)):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[k] for k in sorted(groups)]
+
+
+@st.composite
+def _clumped_points(draw):
+    # Up to 12 points around at most four centers, spread over a few
+    # thresholds, so that chains of near pairs form and break.
+    threshold = draw(st.one_of(st.sampled_from([0.0, -1e-8]), st.floats(1e-8, 1.0)))
+    scale = min(max(threshold, 1e-8), 0.2)
+    coord = st.floats(-0.35, 0.35)
+    centers = draw(st.lists(st.builds(complex, coord, coord), min_size=1, max_size=4))
+    unit = st.floats(-1.0, 1.0)
+    picks = draw(st.lists(st.tuples(st.sampled_from(centers), unit, unit), max_size=12))
+    return [c + scale * complex(x, y) for c, x, y in picks], threshold
+
+
+@given(_clumped_points())
+def test_single_linkage_matches_union_find(case):
+    values, threshold = case
+    assert _single_linkage(values, threshold) == _union_find_linkage(values, threshold)
 
 
 def test_random_system_is_deterministic():
