@@ -9,13 +9,11 @@ classifies the tail behavior as a constant limit, a non-constant floor,
 or alternating accumulation clusters.
 
 Each step's diameter and Schwarz-Pick slack come from one pass over the
-upper triangle of the pair matrix in sinh^2 rho, a block of rows at a
-time, so its temporaries stay in cache.  A lost probe point is NaN, its
-only record, and its pairs drop out of every maximum.  The distance
-kernel is symmetric bit for bit and reads 0.0 on the diagonal, so the
-numbers equal the full matrix's over the live points.  A row whose live
-values are all one point skips the pass: every pair of it is 0.0, so the
-pass would give a diameter and a slack of 0.0, the numbers it records.
+probe's pairs of tiles of nearby points.  It bounds each pair of tiles
+first and evaluates only those that can hold the step's maximum or a pair
+that grew, so both numbers are the full matrix's over the live points, to
+the bit; a step collapsed to one point evaluates none.  A lost probe point
+is NaN, its only record, and its pairs drop out of every maximum.
 """
 from __future__ import annotations
 
@@ -44,10 +42,11 @@ ORBIT_GUARD = 1e-14
 _SWEEP_BLOCK = 8192
 
 # The pair pass takes sinh^2 rho of at most this many pairs per call
-# (whole rows of the upper triangle).  A full P x P matrix at P = 577 is
-# 2.7 MB per temporary and spills the cache; blocks of 16 to 256 rows at
-# that P timed alike.
-_PAIR_BLOCK = 32768
+# (whole tile pairs, so a larger one is a call of its own); 8192 and 32768
+# timed alike, and 8192 keeps temporaries at 64 KB.  A probe whose pairs
+# exceed one call is cut into tiles of _TILE nearby points.
+_PAIR_BLOCK = 8192
+_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -256,40 +255,86 @@ def _evaluate_prefixes(seq, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _pair_pass(coords: tuple, base: np.ndarray):
-    """The largest sinh^2 rho over pairs of live points, and the
-    Schwarz-Pick slack: the largest growth rho(F z_i, F z_j) - rho(z_i, z_j)
-    over those pairs, 0.0 when none grew.  coords are the `_coords` of a
-    row of P values, NaN at lost points, and base holds sinh^2 rho of the
-    P x P probe pairs.
+def _probe_tiles(pts: np.ndarray):
+    """The probe cut into tiles of nearby points (row s of tiles indexes
+    tile s), base[s, t, a, b] = sinh^2 rho(tiles[s, a], tiles[t, b]), and
+    floors[s, t] = the least of base[s, t].  P points with P^2 <=
+    _PAIR_BLOCK are one tile; more are split along the wider coordinate,
+    recursively, at the multiple of _TILE next above the median, and the
+    one short tile repeats its points.  A point paired with itself
+    computes 0.0 and never grows, so base reads +inf there and it lowers
+    no floor."""
+    def split(idx):
+        if idx.size <= _TILE:
+            return [idx]
+        x, y = pts[idx].real, pts[idx].imag
+        idx = idx[np.argsort(x if np.ptp(x) >= np.ptp(y) else y, kind="stable")]
+        h = _TILE * -(-idx.size // (2 * _TILE))
+        return split(idx[:h]) + split(idx[h:])
 
-    The kernel's formula `hyperbolic._sinh2` covers the upper triangle,
-    diagonal included, in blocks of whole rows of at most _PAIR_BLOCK
-    pairs.  A pair with a lost point is NaN: fmax passes over it, and it
-    never compares as grown.  Live gaps are positive, so each live pair
-    gets the bits of sinh2_rho, which is symmetric bit for bit and reads
-    0.0 on the diagonal: both numbers are those of the full matrix over
-    the live points, to the bit.
+    idx = np.arange(pts.size)
+    tiles = idx[None] if pts.size**2 <= _PAIR_BLOCK else np.array([np.resize(g, _TILE) for g in split(idx)])
+    T, S = tiles.shape
+    z, base = pts[tiles], np.empty((T, T, S, S))
+    per = max(1, _PAIR_BLOCK // (S * tiles.size))
+    for a in range(0, T, per):
+        base[a:a + per] = sinh2_rho(z[a:a + per, None, :, None], z[None, :, None, :])
+    r = np.arange(T)
+    base[r, r] = np.where(tiles[:, :, None] == tiles[:, None], np.inf, base[r, r])
+    return tiles, base, base.min(axis=(2, 3))
+
+
+def _pair_pass(coords: tuple, base: np.ndarray, tiles=None, floors=0.0):
+    """The largest sinh^2 rho over pairs of live points of each row, and
+    its Schwarz-Pick slack, the largest growth rho(F z_i, F z_j) -
+    rho(z_i, z_j) over them (0.0 if none grew), as arrays of the rows'
+    shape.  coords are the `_coords` of rows of P values, NaN at lost
+    points; tiles, base and floors are `_probe_tiles`', or one tile, a
+    P x P base and no floor.
+
+    Each tile pair s <= t of a row is bounded first: `_sinh2` on the widest
+    coordinate differences of the two tiles' live boxes and on their least
+    gaps.  Rounding is monotone, so no pair of them computes above it.  The
+    tiles' first points give real pairs, whose largest bounds the row's
+    maximum below.  Only tile pairs bounded above that or their floor are
+    evaluated.  A skipped one holds the maximum only if it equals the lower
+    bound, and none of its pairs grew: both numbers are the full matrix's,
+    to the bit.  A collapsed row bounds every tile pair by 0.0.  A pair
+    with a lost point is NaN: fmax skips it and it never compares as grown.
+    Bounds and pairs go in calls of at most _PAIR_BLOCK of them.
     """
-    P = coords[0].size
-    step = max(1, _PAIR_BLOCK // P)
-    q_max = slack = 0.0
-    for a in range(0, P, step):
-        b = min(a + step, P)
-        q = _sinh2([c[a:b, None] for c in coords], [c[None, a:] for c in coords])
-        q_base = base[a:b, a:]
-        q_max = np.fmax.reduce(q, axis=None, initial=q_max)
-        # Only pairs that moved apart need distances.
-        grown = q > q_base
-        slack = max(slack, float(np.max(
-            np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])), initial=0.0
-        )))
-    return float(q_max), slack
+    if tiles is None:
+        tiles = np.arange(coords[0].shape[-1])[None]
+    T, S = tiles.shape
+    blocks, shape = base.reshape(T, T, S, S), coords[0].shape[:-1]
+    rows = [np.reshape(k, (-1, k.shape[-1])) for k in coords]
+    q_max, slack = np.empty(len(rows[0])), np.zeros(len(rows[0]))
+    per, step = max(1, _PAIR_BLOCK // max(T * T, tiles.size)), max(1, _PAIR_BLOCK // S**2)
+    for r0 in range(0, len(q_max), per):
+        c = np.array([k[r0:r0 + per, tiles] for k in rows])
+        # A lost point's gap is NaN, its other coordinates need not be.
+        box = np.where(np.isnan(c[2]), np.nan, c)
+        lo, hi = np.fmin.reduce(box, axis=3), np.fmax.reduce(box[:2], axis=3)
+        wide = np.maximum(hi[..., :, None] - lo[:2, :, None], hi[..., None, :] - lo[:2, ..., None])
+        bound = _sinh2((*wide, lo[2, ..., None]), (0.0, 0.0, lo[2, :, None]))
+        low = np.fmax.reduce(_sinh2(c[..., 0, None], c[:, :, None, :, 0]), axis=(1, 2), initial=0.0)
+        q_max[r0:r0 + per] = low
+        r, s, t = np.nonzero(np.triu(bound > np.minimum(floors, low[:, None, None])))
+        for a in range(0, r.size, step):
+            k, i, j = r[a:a + step], s[a:a + step], t[a:a + step]
+            q, q_base = _sinh2(c[:, k, i, :, None], c[:, k, j, None]), blocks[i, j]
+            np.fmax.at(q_max, r0 + k, np.fmax.reduce(q, axis=(1, 2)))
+            # Only pairs that moved apart need distances.
+            grown = q > q_base
+            k = np.broadcast_to(k[:, None, None], q.shape)[grown]
+            np.maximum.at(slack, r0 + k, np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])))
+    return q_max.reshape(shape), slack.reshape(shape)
 
 
 def run(seq, probe: ProbeSpec | None = None, tol: float = 1e-8):
     """Evaluate F_1 ... F_N for the N >= 1 maps of seq on the probe grid
-    and classify the tail; a run of the first n maps is run(seq[:n]).
+    and classify the tail with tolerance tol > 0; a run of the first n
+    maps is run(seq[:n]).
 
     Returns (steps, ConvergenceReport), one StepRecord per n.  Every step
     records, over its live points, the rho-diameter of the probe image,
@@ -297,43 +342,36 @@ def run(seq, probe: ProbeSpec | None = None, tol: float = 1e-8):
     which must stay at rounding level.  The composites come from one
     triangular sweep: N vectorized map calls (more when N P exceeds
     _SWEEP_BLOCK) and N (N + 1) / 2 point evaluations per probe point.
-    Each step's coordinates and gaps are computed once; they feed its
-    movement, the next step's and `_pair_pass`, which covers P (P + 1) / 2
-    pairs of the upper triangle in blocks of rows of at most _PAIR_BLOCK
-    pairs, each compared with the matching block of the probe's own pairs.
-    The kernel gives (i, j) and (j, i) the same bits and the diagonal 0.0,
-    so the maxima are those of the full matrix, bit for bit.  A row that
-    collapsed to one point (its live values all equal, -0.0 and 0.0
-    alike) skips the pass: every coordinate difference is 0.0, so every
-    pair is 0.0 and the pass would give 0.0 for both numbers, which the
-    row records without it.
+    The coordinates and gaps of every step are computed once; they feed
+    the movements and one `_pair_pass` over all steps, on the probe's
+    `_probe_tiles`: it evaluates only the pairs of tiles that can hold a
+    step's maximum or a pair that grew, and a collapsed step none, and
+    gives the full matrix's numbers, bit for bit.
     """
     if not seq:
         raise PreconditionError("a run needs at least one map")
+    if not tol > 0:
+        raise PreconditionError(f"tol must be > 0, got {tol!r}")
     probe = probe or ProbeSpec()
     pts = probe.points()
     if pts.size == 0:
         # Vacuous probe: nothing to evaluate, nothing to decide.
         return [], ConvergenceReport(IFSVerdict(kind="undecided"), math.nan)
-    base = sinh2_rho(pts[:, None], pts[None, :])
+    tiles, base, floors = _probe_tiles(pts)
     rows = _evaluate_prefixes(seq, pts)
+    coords = _coords(rows)
+    q_maxes, slacks = _pair_pass(coords, base, tiles, floors)
+    lives = np.count_nonzero(~np.isnan(rows), axis=1)
 
     records: list[StepRecord] = []
     prev = _coords(pts)
-    for n, vals in enumerate(rows, 1):
-        cur = _coords(vals)
-        diameter = slack = math.nan
-        live = vals[~np.isnan(vals)]
-        if live.size >= 2:
-            # A row collapsed to one point: every pair is 0.0, as in the pass.
-            collapsed = (live == live[0]).all()
-            q_max, slack = (0.0, 0.0) if collapsed else _pair_pass(cur, base)
-            diameter = rho_of(q_max)
-            if slack > 1e-8:
-                raise NumericError(
-                    f"contraction violated by holomorphic chain at step {n}: "
-                    f"slack {slack!r}"
-                )
+    for n, (vals, q_max, slack, live, *cur) in enumerate(zip(rows, q_maxes, slacks, lives, *coords), 1):
+        diameter, slack = (rho_of(q_max), float(slack)) if live >= 2 else (math.nan, math.nan)
+        if slack > 1e-8:
+            raise NumericError(
+                f"contraction violated by holomorphic chain at step {n}: "
+                f"slack {slack!r}"
+            )
 
         # NaN when no point is live at both steps.
         movement = rho_of(np.fmax.reduce(_sinh2(cur, prev)))
@@ -421,8 +459,10 @@ def denjoy_wolff(f: MapDescriptor, z0, n_steps: int = 1000, tol: float = 1e-10):
     ... up to the one that stopped the iteration.  Raises when the orbit has not become a
     Cauchy sequence within n_steps (an undecided run).  Rejects outright
     a step count below 1 and a chain of disk automorphisms (MobiusAut, or
-    Affine with |scale| = 1) with no target.
+    Affine with |scale| = 1) with no target, and a tol that is not > 0.
     """
+    if not tol > 0:
+        raise PreconditionError(f"tol must be > 0, got {tol!r}")
     if n_steps < 1:
         raise PreconditionError(f"need at least one step, got n_steps = {n_steps!r}")
     if f.target is None and all(

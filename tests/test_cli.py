@@ -212,6 +212,24 @@ def test_cli_exit_code_two_on_dw_without_steps(tmp_path, capsys, n_steps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", [0, -1])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "ifs-run", "domain": "disk(0,0,0.3)"},
+        {"command": "dw", "map": "affine(0.5,0.2)", "z0": [0.1, 0]},
+    ],
+    ids=["ifs-run", "dw"],
+)
+def test_cli_exit_code_two_on_non_positive_tol(tmp_path, capsys, doc, tol):
+    # Not a non_constant verdict with a floor of 0.0, nor an undecided orbit.
+    cfg = _write(tmp_path, "tol.json", {**doc, "tol": tol})
+    out = tmp_path / "res"
+    assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
+    assert "tol must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_two_on_unparameterized_domain(tmp_path, capsys):
     # A random system needs maps into the domain, and rdense has no
     # parameterization to build them with.

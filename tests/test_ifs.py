@@ -7,7 +7,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diskdyn.cli
@@ -22,6 +22,7 @@ from diskdyn.ifs import (
     _evaluate_grid,
     _evaluate_prefixes,
     _pair_pass,
+    _probe_tiles,
     _single_linkage,
     Affine,
     MapDescriptor,
@@ -319,6 +320,77 @@ def test_pair_pass_matches_full_matrix_on_a_random_probe():
         assert _pair_pass(_coords(values), base) == (np.max(q), slack)
 
 
+def _bits(x):
+    return float(x).hex()
+
+
+def _full_pass(values, pts):
+    # The reference: every pair of live points, as one matrix.
+    sel = np.flatnonzero(~np.isnan(values))
+    q = sinh2_rho(values[sel][:, None], values[sel][None, :])
+    q_base = sinh2_rho(pts[sel][:, None], pts[sel][None, :])
+    grown = q > q_base
+    slack = np.max(np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])), initial=0.0)
+    return np.fmax.reduce(q, axis=None, initial=0.0), slack
+
+
+_NEAR_CIRCLE = 1.0 - 1e-14
+
+
+@st.composite
+def _probe_rows(draw):
+    # A random probe of several tiles, with duplicate points and points
+    # 1e-14 from the circle, and rows of images: nearly collapsed, contracted,
+    # random (so some pairs grow), or zeros of both signs, some with points
+    # 1e-14 from the circle, lost points of either NaN form and a lost tile.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def disk(n, radius):
+        return radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+    P = draw(st.integers(200, 700))
+    pts = disk(P, 0.9)
+    pick = rng.choice(P, 12, replace=False)
+    pts[pick[:4]] = pts[pick[4:8]]
+    pts[pick[8:]] = _NEAR_CIRCLE * np.exp(2j * np.pi * rng.random(4))
+    tiles = _probe_tiles(pts)[0]
+    rows, kinds = [], draw(st.lists(st.sampled_from(["collapse", "contract", "random", "zeros"]), min_size=1, max_size=3))
+    for kind in kinds:
+        if kind == "collapse":
+            spread = 10.0 ** draw(st.floats(-16.0, -6.0))
+            row = disk(1, 0.8) + spread * disk(P, 1.0)
+        elif kind == "contract":
+            row = disk(1, 0.5) + 10.0 ** draw(st.floats(-8.0, -0.5)) * np.exp(2j * np.pi * rng.random()) * pts
+        elif kind == "random":
+            row = disk(P, 0.99)
+        else:
+            signs = np.array([0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
+            row = signs[rng.integers(0, 4, P)]
+            row[rng.choice(P, draw(st.integers(0, 3)), replace=False)] = disk(1, 0.5)
+        if draw(st.booleans()):
+            row[rng.choice(P, 3, replace=False)] = _NEAR_CIRCLE * np.exp(2j * np.pi * rng.random(3))
+        if draw(st.booleans()):
+            row[tiles[rng.integers(len(tiles))]] = np.nan + 0j
+            row[rng.choice(P, P // 10, replace=False)] = np.nan + 0j
+            row[rng.choice(P, 5, replace=False)] = complex(0.3, np.nan)
+        rows.append(row)
+    return pts, np.array(rows), kinds
+
+
+@settings(max_examples=60)
+@given(_probe_rows())
+def test_pruned_pair_pass_matches_full_matrix_bit_for_bit(case):
+    pts, rows, kinds = case
+    tiles, base, floors = _probe_tiles(pts)
+    assert len(tiles) > 1
+    q_max, slack = _pair_pass(_coords(rows), base, tiles, floors)
+    for values, kind, q, x in zip(rows, kinds, q_max, slack):
+        want = _full_pass(values, pts)
+        assert (_bits(q), _bits(x)) == tuple(map(_bits, want)), kind
+        if kind == "random":
+            assert want[1] > 0.0
+
+
 def test_run_raises_on_schwarz_pick_violation():
     # The inverse radial stretch is no holomorphic map: it pulls pairs apart,
     # and the engine must refuse the step that shows it.
@@ -443,30 +515,44 @@ def test_trace_lines_format_one_block_at_a_time(monkeypatch):
     assert sum(sizes) == 40 + 2 * 40 * 577
 
 
-def _bits(x):
-    return float(x).hex()
+def _kernel_sizes(monkeypatch):
+    # The size of every output of the distance kernel as the engine calls it.
+    sizes = []
+
+    def counting(p, q):
+        out = sinh2(p, q)
+        sizes.append(np.size(out))
+        return out
+
+    sinh2 = diskdyn.ifs._sinh2
+    monkeypatch.setattr(diskdyn.ifs, "_sinh2", counting)
+    return sizes
 
 
-def test_collapsed_rows_skip_the_pair_pass_with_its_numbers(monkeypatch):
+def test_collapsed_rows_evaluate_no_pair_and_read_the_pass_numbers(monkeypatch):
+    # Every step records the numbers of the pass over the probe as one
+    # tile; a collapsed step records 0.0 for both, and on such steps the
+    # tiled pass of the run evaluates no pair: the kernel only bounds the
+    # tile pairs and pairs the tiles' first points, T x T numbers a row.
     steps = _collapsing_run()
-    base = sinh2_rho(ProbeSpec().points()[:, None], ProbeSpec().points()[None, :])
+    pts = ProbeSpec().points()
+    base = sinh2_rho(pts[:, None], pts[None, :])
     collapsed = [s for s in steps if np.unique(s.values).size == 1]
     assert 0 < len(collapsed) < len(steps)
     for s in steps:
         q_max, slack = _pair_pass(_coords(s.values), base)
         assert (_bits(s.diameter), _bits(s.schwarz_slack)) == (_bits(rho_of(q_max)), _bits(slack)), s.n
-    calls = []
-
-    def counting(coords, base):
-        calls.append(coords[0].size)
-        return pair_pass(coords, base)
-
-    pair_pass = diskdyn.ifs._pair_pass
-    monkeypatch.setattr(diskdyn.ifs, "_pair_pass", counting)
-    assert [(s.diameter, s.schwarz_slack) for s in _collapsing_run()] == [
-        (s.diameter, s.schwarz_slack) for s in steps
-    ]
-    assert len(calls) == len(steps) - len(collapsed)
+    assert {(_bits(s.diameter), _bits(s.schwarz_slack)) for s in collapsed} == {(_bits(0.0), _bits(0.0))}
+    tiles, tiled_base, floors = _probe_tiles(pts)
+    T = len(tiles)
+    sizes = _kernel_sizes(monkeypatch)
+    rows = np.array([s.values for s in collapsed])
+    q_max, slack = _pair_pass(_coords(rows), tiled_base, tiles, floors)
+    assert {(_bits(q), _bits(x)) for q, x in zip(q_max, slack)} == {(_bits(0.0), _bits(0.0))}
+    assert sum(sizes) == 2 * len(collapsed) * T * T
+    sizes.clear()
+    _pair_pass(_coords(steps[0].values), tiled_base, tiles, floors)
+    assert sum(sizes) > 2 * T * T
 
 
 class _Collapse:
@@ -491,7 +577,9 @@ class _SignedZero:
 def test_collapsed_row_reads_the_pair_pass_numbers(piece, monkeypatch):
     # A row whose live values are one point, with lost points around it or
     # with zeros of both signs, records a diameter and a slack of 0.0 as
-    # the pass does, and skips the pass.
+    # the pass does, and evaluates no pair: the probe is one tile, so the
+    # kernel's outputs are its one tile pair's bound and lower bound and
+    # the step's movement over the P probe points.
     seq = [MapDescriptor((piece,))]
     probe = ProbeSpec(rings=3, spokes=8)
     vals = _evaluate_grid(seq, probe.points())
@@ -501,9 +589,10 @@ def test_collapsed_row_reads_the_pair_pass_numbers(piece, monkeypatch):
     assert np.isnan(vals).any() == isinstance(piece, _Collapse)
     base = sinh2_rho(probe.points()[:, None], probe.points()[None, :])
     assert tuple(map(_bits, _pair_pass(_coords(vals), base))) == (_bits(0.0), _bits(0.0))
-    monkeypatch.setattr(diskdyn.ifs, "_pair_pass", None)
+    sizes = _kernel_sizes(monkeypatch)
     (step,), _ = run(seq, probe=probe)
     assert (_bits(step.diameter), _bits(step.schwarz_slack)) == (_bits(0.0), _bits(0.0))
+    assert sorted(sizes) == [1, 1, vals.size]
 
 
 @pytest.mark.parametrize(
@@ -533,6 +622,16 @@ def test_run_step_count_bounds():
     # A run needs a map; its prefixes are slices, run(seq[:n]).
     with pytest.raises(PreconditionError):
         run([])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_run_and_denjoy_wolff_reject_a_tol_not_above_zero(tol):
+    # A tolerance of 0 or less decides nothing: no diameter is below it,
+    # and no orbit step is shorter.
+    with pytest.raises(PreconditionError, match="tol"):
+        run(random_system(EuclideanSubdisk(0j, 0.3), seed=1, count=3), tol=tol)
+    with pytest.raises(PreconditionError, match="tol"):
+        denjoy_wolff(MapDescriptor((Affine(0.5, 0.2),)), 0.1, tol=tol)
 
 
 def _union_find_linkage(values, threshold):
