@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainImage, DomainModel
+from .domains import DomainModel
 from .errors import NumericError, PreconditionError
 from .hyperbolic import (
     DiskPoint,
@@ -90,9 +90,10 @@ class RadialStretch:
     exponent: float
 
     def __post_init__(self):
-        if not float(self.exponent) >= 1.0:
+        # A negated bound, so NaN fails it as well as inf.
+        if not 1.0 <= float(self.exponent) < math.inf:
             raise PreconditionError(
-                f"stretch exponent must be >= 1, got {self.exponent!r}"
+                f"stretch exponent must be finite and >= 1, got {self.exponent!r}"
             )
         object.__setattr__(self, "exponent", float(self.exponent))
 
@@ -109,29 +110,57 @@ class RadialStretch:
         return math.atanh(math.tanh(float(r)) ** self.exponent)
 
     def inverse_radial(self, r: float) -> float:
-        return math.atanh(math.tanh(float(r)) ** (1.0 / self.exponent))
+        t = math.tanh(float(r)) ** (1.0 / self.exponent)
+        if not t < 1.0:
+            raise NumericError(
+                f"the stretch of exponent {self.exponent:g} cannot pull the radius "
+                f"{r!r} back: tanh(r)**(1/exponent) rounds to 1.0 in double precision"
+            )
+        return math.atanh(t)
 
 
-class StretchedDomain(DomainImage):
-    """Image of a catalog entry under a radial stretch.
+class StretchedDomain(DomainModel):
+    """Image of a catalog entry `base` under a radial stretch.
 
-    The inradius field uses the stretched complement directly: the mapped
-    punctures when the base complement is a point set, the mapped
-    boundary curve otherwise.
+    The flags are the base's; the anchor, punctures and boundary curve
+    push forward by `stretch.apply`, and membership pulls back by
+    `stretch.inverse_apply`.  Depths transport radially: the base's depth
+    cap pushes to `radial_distance(cap)`, and the probes at depth d are
+    the base's at `inverse_radial(d)`, pushed.  The inradius field uses
+    the stretched complement directly: the mapped punctures when the base
+    complement is a point set, the mapped boundary curve otherwise.
     """
 
     def __init__(self, base: DomainModel, stretch: RadialStretch):
+        self.base = base
         self.stretch = stretch
-        super().__init__(
-            base,
-            push=stretch.apply,
-            pull=stretch.inverse_apply,
-            push_depth=stretch.radial_distance,
-            pull_depth=stretch.inverse_radial,
-        )
+        self.relatively_compact = base.relatively_compact
+        self.expected_bloch = base.expected_bloch
+        self.simply_connected = base.simply_connected
+        self.punctures = None if base.punctures is None else stretch.apply(base.punctures)
 
     def describe(self) -> str:
         return f"stretch({self.base.describe()},{self.stretch.exponent:g})"
+
+    @property
+    def anchor(self) -> DiskPoint:
+        return DiskPoint(self.stretch.apply(complex(self.base.anchor)))
+
+    def _inside(self, z):
+        # The mapped punctures are excluded exactly by `contains`: the
+        # pull need not land back on a base puncture.
+        return self.base.contains(self.stretch.inverse_apply(z))
+
+    def boundary_point(self, t):
+        return self.stretch.apply(self.base.boundary_point(t))
+
+    def probe_points(self, depth: float) -> list[complex]:
+        pulled = self.stretch.inverse_radial(depth)
+        return [self.stretch.apply(p) for p in self.base.probe_points(pulled)]
+
+    def search_depth_cap(self) -> float | None:
+        cap = self.base.search_depth_cap()
+        return None if cap is None else self.stretch.radial_distance(cap)
 
 
 def witness_disk_verify(

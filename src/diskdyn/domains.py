@@ -27,7 +27,6 @@ from .hyperbolic import (
     BOUNDARY_GUARD,
     DiskPoint,
     HyperbolicDisk,
-    MobiusAut,
     inside,
     modulus,
     rho,
@@ -329,96 +328,6 @@ class RDenseComplement(DomainModel):
 
     def search_depth_cap(self) -> float | None:
         return self.covered_depth - self.mesh
-
-
-class DomainImage(DomainModel):
-    """Image of a catalog entry `base` under a homeomorphism of the disk.
-
-    `push` maps the base onto the image and `pull` back, each on a point
-    or an array.  `push_depth` sends a base depth cap (a bound on
-    rho(0, center)) to the image's, and `pull_depth` sends an image depth
-    to the base depth whose probes, pushed forward, reach it.  The flags,
-    punctures, anchor, membership, boundary curve, probes and depth cap
-    all transport through these four; subclasses add the rest.
-    """
-
-    def __init__(self, base: DomainModel, *, push, pull, push_depth, pull_depth):
-        self.base = base
-        self._push, self._pull = push, pull
-        self._push_depth, self._pull_depth = push_depth, pull_depth
-        self.relatively_compact = base.relatively_compact
-        self.expected_bloch = base.expected_bloch
-        self.simply_connected = base.simply_connected
-        self.punctures = None if base.punctures is None else push(base.punctures)
-
-    @property
-    def anchor(self) -> DiskPoint:
-        return DiskPoint(self._push(complex(self.base.anchor)))
-
-    def _inside(self, z):
-        # The mapped punctures are excluded exactly by `contains`: the
-        # pull need not land back on a base puncture.
-        return self.base.contains(self._pull(z))
-
-    def boundary_point(self, t):
-        return self._push(self.base.boundary_point(t))
-
-    def probe_points(self, depth: float) -> list[complex]:
-        return [self._push(p) for p in self.base.probe_points(self._pull_depth(depth))]
-
-    def search_depth_cap(self) -> float | None:
-        cap = self.base.search_depth_cap()
-        return None if cap is None else self._push_depth(cap)
-
-
-class MobiusImage(DomainImage):
-    """Image of a catalog entry under a disk automorphism.
-
-    The automorphism is an isometry, so every metric quantity transports
-    exactly: the inradius field composes with the inverse map and deep
-    points push forward.  It moves the origin by rho(0, aut(0)), so depth
-    caps shrink and probe depths grow by that much.
-    """
-
-    def __init__(self, base: DomainModel, aut: MobiusAut):
-        self.aut = aut
-        self._inv = aut.inverse()
-        shift = rho(0.0, aut(0.0))
-        super().__init__(
-            base,
-            push=aut,
-            pull=self._inverse_real,
-            push_depth=lambda cap: cap - shift,
-            pull_depth=lambda depth: depth + shift,
-        )
-
-    def describe(self) -> str:
-        return f"mobius_image({self.base.describe()})"
-
-    def _inverse_real(self, z):
-        # The inverse map in real arithmetic: numpy rounds complex products
-        # and quotients unlike Python, and unlike itself at other lengths.
-        a, ph = self._inv.a, self._inv._phase
-        ur, ui = z.real - a.real, z.imag - a.imag
-        nr, ni = ph.real * ur - ph.imag * ui, ph.real * ui + ph.imag * ur
-        dr, di = 1.0 - a.real * z.real - a.imag * z.imag, a.imag * z.real - a.real * z.imag
-        d2 = dr * dr + di * di
-        return (nr * dr + ni * di) / d2 + 1j * ((ni * dr - nr * di) / d2)
-
-    def riemann_to(self, u):
-        return self.aut(self.base.riemann_to(u))
-
-    def riemann_from(self, x):
-        return self.base.riemann_from(self._inv(x))
-
-    def inradius_at(self, a) -> float:
-        if self.punctures is not None:
-            # The mapped punctures, as witness verification measures them.
-            return super().inradius_at(a)
-        return self.base.inradius_at(self._inv(complex(a)))
-
-    def deep_point(self, t: float) -> DiskPoint:
-        return DiskPoint(self.aut(self.base.deep_point(t)))
 
 
 _CALL = re.compile(r"^([a-z]+)(?:\((.*)\))?$")

@@ -1,12 +1,14 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import mobius_image
 from diskdyn.bloch import (
     RadialStretch,
     SearchBudget,
@@ -20,10 +22,9 @@ from diskdyn.domains import (
     DomainModel,
     EuclideanSubdisk,
     Horodisk,
-    MobiusImage,
     RDenseComplement,
 )
-from diskdyn.errors import PreconditionError
+from diskdyn.errors import NumericError, PreconditionError
 from diskdyn.hyperbolic import DiskPoint, HyperbolicDisk, MobiusAut, inside, rho
 from diskdyn.sampling import hyperbolic_lattice
 
@@ -52,9 +53,20 @@ def test_radial_stretch_basics():
 
 
 def test_radial_stretch_validation():
-    with pytest.raises(PreconditionError):
-        RadialStretch(0.5)
+    for exponent in (0.5, math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="finite and >= 1"):
+            RadialStretch(exponent)
     assert RadialStretch(1.0).apply(0.3 + 0.1j) == 0.3 + 0.1j
+
+
+@pytest.mark.parametrize(
+    ("exponent", "r"), [(1e14, 3.0), (1e308, 0.5), (2.0, 25.0)], ids=["1e14", "1e308", "deep"]
+)
+def test_inverse_radial_refuses_a_preimage_past_double_precision(exponent, r):
+    # tanh(r) ** (1 / exponent) rounds to 1.0: a numeric failure naming
+    # the stretch, not atanh's math domain error.
+    with pytest.raises(NumericError, match=re.escape(f"exponent {exponent:g} cannot")):
+        RadialStretch(exponent).inverse_radial(r)
 
 
 @given(
@@ -79,6 +91,20 @@ def test_stretched_domain_membership():
         z = X.riemann_to(_rand_point(rng, 0.9))
         assert Y.contains(S.apply(z))
     assert not Y.contains(S.apply(-0.2 + 0j))
+
+
+def test_stretched_domain_transports_depths():
+    # The stretch sends the sphere rho(0, .) = r to radius radial_distance(r):
+    # the image's depth cap is the base's pushed, and its probes at depth d
+    # are the base's at inverse_radial(d), pushed.
+    S = RadialStretch(2.0)
+    net = RDenseComplement(0.5, 3.0)
+    assert StretchedDomain(net, S).search_depth_cap() == S.radial_distance(net.search_depth_cap())
+    X = Horodisk(1.0, 0.5)
+    for depth in (1.0, 2.5, 4.0):
+        assert StretchedDomain(X, S).probe_points(depth) == [
+            S.apply(p) for p in X.probe_points(S.inverse_radial(depth))
+        ]
 
 
 def test_search_subdisk_oracle():
@@ -154,7 +180,7 @@ def test_search_mobius_equivariance_within_budget():
     m = MobiusAut(0.2 + 0.1j, 0.4)
     shift = rho(0.0, m(0j))
     base = bloch_radius_search(X)
-    moved = bloch_radius_search(MobiusImage(X, m))
+    moved = bloch_radius_search(mobius_image(X, m))
     assert moved.verdict.kind == base.verdict.kind
     assert abs(moved.best_inradius - base.best_inradius) <= shift + 1e-6
 
@@ -173,9 +199,8 @@ def test_witness_disk_verify():
     [
         lambda net: net,
         lambda net: StretchedDomain(net, RadialStretch(2.0)),
-        lambda net: MobiusImage(net, MobiusAut(0.2 + 0.1j, 0.4)),
     ],
-    ids=["net", "stretched", "mobius"],
+    ids=["net", "stretched"],
 )
 def test_witness_disk_verify_sees_punctures(image):
     # No sample point lands on a puncture, so only the puncture distances

@@ -256,6 +256,25 @@ def test_cli_exit_code_three_on_numeric_failure(tmp_path):
     assert main(["dw", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"domain": "horodisk(0,0.5)", "exponent": 1e15},
+        {"domain": "disk(0,0,0.5)", "exponent": 1e308},
+        {"domain": "disk(0,0,0.5)", "exponent": 2.0, "depth": 25.0},
+    ],
+    ids=["horodisk", "disk", "deep"],
+)
+def test_cli_exit_code_three_on_stretch_past_double_precision(tmp_path, capsys, doc):
+    # The stretched search's probe depth pulls back to tanh 1.0: a numeric
+    # failure, not a traceback from atanh.
+    cfg = _write(tmp_path, "qc.json", {"command": "qc", **doc})
+    out = tmp_path / "res"
+    assert main(["qc", "--config", cfg, "--out", str(out)]) == 3
+    assert "rounds to 1.0 in double precision" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     doc = {
         "command": "ifs-run",

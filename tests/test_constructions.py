@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mobius_image
 from diskdyn.constructions import (
     _arc_runs,
     build_alternating_system,
@@ -18,7 +19,6 @@ from diskdyn.constructions import (
 from diskdyn.domains import (
     EuclideanSubdisk,
     Horodisk,
-    MobiusImage,
     RDenseComplement,
 )
 from diskdyn.errors import NumericError, PreconditionError
@@ -221,7 +221,7 @@ def test_alternating_engine_sees_two_clusters():
 
 def test_alternating_builder_on_transported_domain():
     m = MobiusAut(0.1 + 0.2j, 0.3)
-    Y = MobiusImage(Horodisk(1.0, 0.5), m)
+    Y = mobius_image(Horodisk(1.0, 0.5), m)
     a = complex(Y.anchor)
     a1 = point_at_intrinsic_distance(Y, a, 1.0, 0.7)
     seq, steps = build_alternating_system(Y, a, a1, 6)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mobius_image
 from diskdyn.bloch import RadialStretch, StretchedDomain
 from diskdyn.constructions import covering_with_basepoint
 from diskdyn.domains import (
     DomainModel,
     EuclideanSubdisk,
     Horodisk,
-    MobiusImage,
     RDenseComplement,
     parse_domain,
 )
@@ -160,12 +160,11 @@ def test_rdense_membership_excludes_punctures():
     [
         lambda net: net,
         lambda net: StretchedDomain(net, RadialStretch(2.0)),
-        lambda net: MobiusImage(net, MobiusAut(0.2 + 0.1j, 0.4)),
     ],
-    ids=["net", "stretched", "mobius"],
+    ids=["net", "stretched"],
 )
 def test_punctures_are_never_members(image):
-    # The wrappers' inverse maps need not land exactly on a base puncture,
+    # The stretch's inverse map need not land exactly on a base puncture,
     # so a mapped puncture is excluded by its own exact hit.
     Y = image(RDenseComplement(0.5, 3.0))
     assert not Y.contains(Y.punctures).any()
@@ -202,42 +201,20 @@ def test_rdense_inradius_bounded_by_mesh():
 
 
 def test_mobius_image_transport():
+    # An automorphism is an isometry: the closed-form image carries
+    # membership, the intrinsic metric and the inradius field over.
     m = MobiusAut(0.3 + 0.1j, 0.7)
-    X = Horodisk(1.0, 0.5)
-    Y = MobiusImage(X, m)
     rng = random.Random(28)
-    for _ in range(200):
-        z = _rand_point(rng)
-        assert Y.contains(m(z)) == X.contains(z)
-    for _ in range(50):
-        u = X.riemann_to(_rand_point(rng, 0.8))
-        v = X.riemann_to(_rand_point(rng, 0.8))
-        assert Y.rho_X(m(u), m(v)) == pytest.approx(X.rho_X(u, v), abs=1e-10)
-        assert Y.inradius_at(m(u)) == pytest.approx(X.inradius_at(u), abs=1e-10)
-    # deep path transports exactly
-    for t in (1.0, 2.0, 3.0):
-        assert abs(complex(Y.deep_point(t)) - m(complex(X.deep_point(t)))) < 1e-14
-
-
-def test_mobius_image_transports_depths():
-    # The automorphism moves the origin by `shift`: the image's depth cap
-    # shrinks by it and its probes are the base's at depth + shift.
-    m = MobiusAut(0.3 + 0.1j, 0.7)
-    shift = rho(0.0, m(0.0))
-    net = RDenseComplement(0.5, 3.0)
-    assert MobiusImage(net, m).search_depth_cap() == net.search_depth_cap() - shift
-    X = Horodisk(1.0, 0.5)
-    for depth in (1.0, 2.5, 4.0):
-        assert MobiusImage(X, m).probe_points(depth) == [
-            m(p) for p in X.probe_points(depth + shift)
-        ]
-
-
-def test_mobius_image_of_identity_matches_base():
-    X = EuclideanSubdisk(0j, 0.5)
-    Y = MobiusImage(X, MobiusAut(0j, 0.0))
-    assert Y.contains(0.3) and not Y.contains(0.6)
-    assert Y.inradius_at(0j) == pytest.approx(X.inradius_at(0j), abs=1e-14)
+    for X in (Horodisk(1.0, 0.5), EuclideanSubdisk(0.1 + 0.2j, 0.4)):
+        Y = mobius_image(X, m)
+        for _ in range(1000):
+            z = _rand_point(rng, 0.999)
+            assert Y.contains(m(z)) == X.contains(z)
+        for _ in range(50):
+            u = X.riemann_to(_rand_point(rng, 0.8))
+            v = X.riemann_to(_rand_point(rng, 0.8))
+            assert Y.rho_X(m(u), m(v)) == pytest.approx(X.rho_X(u, v), abs=1e-10)
+            assert Y.inradius_at(m(u)) == pytest.approx(X.inradius_at(u), abs=1e-10)
 
 
 def test_covering_with_basepoint_pins_and_isometry():
@@ -285,14 +262,20 @@ def test_rho_x_requires_membership():
         X.rho_X(0.5, -0.5)
 
 
+def _mobius_entry(X, m):
+    # The closed-form image, under an id that names what it is the image of.
+    return pytest.param(mobius_image(X, m), id=f"mobius_image({X.describe()})")
+
+
 def _membership_catalog():
     net = RDenseComplement(0.5, 2.0)
     horo = Horodisk(cmath.exp(0.7j), 0.5)
+    disk = EuclideanSubdisk(0.1 + 0.2j, 0.4)
     entries = [
-        EuclideanSubdisk(0.1 + 0.2j, 0.4),
+        disk,
         net,
-        MobiusImage(horo, MobiusAut(0.3 + 0.1j, 0.7)),
-        MobiusImage(net, MobiusAut(-0.2 + 0.4j, 2.0)),
+        _mobius_entry(horo, MobiusAut(0.3 + 0.1j, 0.7)),
+        _mobius_entry(disk, MobiusAut(-0.2 + 0.4j, 2.0)),
         StretchedDomain(horo, RadialStretch(2.0)),
         StretchedDomain(net, RadialStretch(1.7)),
     ]
@@ -352,8 +335,8 @@ def _parameterized_catalog():
     return [
         disk,
         *horos,
-        MobiusImage(Horodisk(cmath.exp(0.7j), 0.5), MobiusAut(0.3 + 0.1j, 0.7)),
-        MobiusImage(disk, MobiusAut(-0.2 + 0.4j, 2.0)),
+        _mobius_entry(Horodisk(cmath.exp(0.7j), 0.5), MobiusAut(0.3 + 0.1j, 0.7)),
+        _mobius_entry(disk, MobiusAut(-0.2 + 0.4j, 2.0)),
     ]
 
 
