@@ -16,8 +16,8 @@ import numpy as np
 from .domains import DomainModel
 from .errors import NumericError, PreconditionError
 from .hyperbolic import (
-    DiskPoint,
     HyperbolicDisk,
+    disk_point,
     modulus,
     rho_of,
     sinh2_rho,
@@ -71,7 +71,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class BlochReport:
-    best_center: DiskPoint
+    best_center: complex
     best_inradius: float
     budget: SearchBudget
     verdict: Verdict
@@ -143,8 +143,8 @@ class StretchedDomain(DomainModel):
         return f"stretch({self.base.describe()},{self.stretch.exponent:g})"
 
     @property
-    def anchor(self) -> DiskPoint:
-        return DiskPoint(self.stretch.apply(complex(self.base.anchor)))
+    def anchor(self) -> complex:
+        return disk_point(self.stretch.apply(self.base.anchor))
 
     def _inside(self, z):
         # The mapped punctures are excluded exactly by `contains`: the
@@ -181,7 +181,7 @@ def _admissible(X: DomainModel, p, depth: float):
 
 def _candidate_centers(X: DomainModel, budget: SearchBudget, depth: float) -> list[complex]:
     lattice = hyperbolic_lattice(depth, budget.ring_step, budget.angular_cap)
-    pts = np.concatenate(([0j, complex(X.anchor)], lattice, X.probe_points(depth)))
+    pts = np.concatenate(([0j, X.anchor], lattice, X.probe_points(depth)))
     return pts[_admissible(X, pts, depth)].tolist()
 
 
@@ -262,10 +262,8 @@ def bloch_radius_search(X: DomainModel, budget: SearchBudget | None = None) -> B
     if best_value >= budget.witness_threshold:
         witness = _certify_witness(X, best_center, best_value, budget)
         verdict = Verdict("non_bloch_witness", witness.radius)
-        return BlochReport(DiskPoint(best_center), best_value, budget, verdict, witness)
-    return BlochReport(
-        DiskPoint(best_center), best_value, budget, Verdict("bloch_up_to", best_value)
-    )
+        return BlochReport(best_center, best_value, budget, verdict, witness)
+    return BlochReport(best_center, best_value, budget, Verdict("bloch_up_to", best_value))
 
 
 def qc_image_experiment(

@@ -355,13 +355,13 @@ def _run_ifs(options: dict):
 
 def _run_t7(options: dict):
     X = parse_domain(options["domain"])
-    a0 = complex(X.anchor) if options["a0"] is None else complex(*options["a0"])
+    a0 = X.anchor if options["a0"] is None else complex(*options["a0"])
     w0 = point_at_intrinsic_distance(X, a0, options["distance"], options["angle"])
     seq, steps = build_nonconstant_system(X, a0, w0, options["N"])
-    marked = complex(steps[-1].marked_tilde)
+    marked = steps[-1].marked_tilde
     engine_steps, report = run(seq, probe=ProbeSpec(marked=(marked,)))
-    f_zero = complex(compose_eval(seq, 0j))
-    f_marked = complex(compose_eval(seq, marked))
+    f_zero = compose_eval(seq, 0j)
+    f_marked = compose_eval(seq, marked)
     results = {
         "a0": a0,
         "w0": w0,
@@ -379,7 +379,7 @@ def _run_t7(options: dict):
 
 def _run_t8(options: dict):
     X = parse_domain(options["domain"])
-    base = complex(X.anchor) if options["base"] is None else complex(*options["base"])
+    base = X.anchor if options["base"] is None else complex(*options["base"])
     if options["value1"] is None:
         value1 = point_at_intrinsic_distance(X, base, options["distance"], options["angle"])
     else:
@@ -389,7 +389,7 @@ def _run_t8(options: dict):
     even_err = 0.0
     odd_err = 0.0
     for n in range(1, options["N"] + 1):
-        v = complex(compose_eval(seq[:n], base))
+        v = compose_eval(seq[:n], base)
         if n % 2 == 0:
             even_err = max(even_err, abs(v - base))
         else:

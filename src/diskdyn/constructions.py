@@ -20,7 +20,7 @@ import numpy as np
 
 from .domains import DomainModel
 from .errors import BoundaryError, NumericError, PreconditionError
-from .hyperbolic import Blaschke2, DiskPoint, MobiusAut, rho
+from .hyperbolic import Blaschke2, MobiusAut, disk_point, rho
 from .ifs import MapDescriptor
 
 _CHECK_TOL = 1e-9
@@ -92,7 +92,7 @@ class NonconstantStep:
     n: int
     anchor: complex
     marked: complex
-    marked_tilde: DiskPoint
+    marked_tilde: complex
     lift: float
     depth: float
     dist_pair: float
@@ -179,7 +179,7 @@ def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
 
         while True:
             try:
-                a_n = complex(X.deep_point(depth))
+                a_n = X.deep_point(depth)
                 splitter = Blaschke2(a_n)
                 w_tilde, w_n = splitter.preimages(lift)
             except (BoundaryError, NumericError) as exc:
@@ -190,7 +190,7 @@ def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
                 ) from exc
             f = MapDescriptor((splitter, aligner), target=X)
             checks, dist_pair, dist_intr, dist_tilde = _nonconstant_checks(
-                n, f, a_prev, w_prev, a_n, complex(w_n), w_tilde, d_prev, d0, X
+                n, f, a_prev, w_prev, a_n, w_n, w_tilde, d_prev, d0, X
             )
             inradius = X.inradius_at(a_n)
             if all(checks.values()) and inradius > 1.0:
@@ -210,7 +210,7 @@ def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
             NonconstantStep(
                 n=n,
                 anchor=a_n,
-                marked=complex(w_n),
+                marked=w_n,
                 marked_tilde=w_tilde,
                 lift=lift,
                 depth=depth,
@@ -221,7 +221,7 @@ def build_nonconstant_system(X: DomainModel, a0, w0, n_steps: int):
                 checks=checks,
             )
         )
-        a_prev, w_prev = a_n, complex(w_n)
+        a_prev, w_prev = a_n, w_n
     return descriptors, steps
 
 
@@ -266,7 +266,7 @@ def covering_with_basepoint(X: DomainModel, u0, x0, theta: float = 0.0):
     """
     if not X.contains(x0):
         raise PreconditionError(f"basepoint image {complex(x0)!r} not in {X.describe()}")
-    aligner = MobiusAut.two_point(complex(DiskPoint(u0)), X.riemann_from(x0), theta)
+    aligner = MobiusAut.two_point(disk_point(u0), X.riemann_from(x0), theta)
     return MapDescriptor((aligner,), target=X)
 
 
@@ -442,10 +442,17 @@ def preimage_convergence_report(
 ):
     """Measure preimage convergence at the given zero moduli.
 
-    Raises when the real-axis gap sequence fails to decrease, or when the
-    final gaps are not below 0.01 for moduli reaching 0.999.
+    The moduli must increase strictly inside (0, 1), and args_per_modulus
+    be at least 1.  Raises when the real-axis gap sequence fails to
+    decrease, or when the final gaps are not below 0.01 for moduli
+    reaching 0.999.
     """
-    target = complex(DiskPoint(target))
+    if args_per_modulus < 1:
+        raise PreconditionError(f"args_per_modulus must be >= 1, got {args_per_modulus!r}")
+    edges = (0.0, *moduli, 1.0)
+    if not all(a < b for a, b in zip(edges, edges[1:])):
+        raise PreconditionError(f"moduli must increase strictly inside (0, 1), got {moduli!r}")
+    target = disk_point(target)
     if target == 0:
         raise PreconditionError("target must be nonzero")
     limit = rho(0.0, target)

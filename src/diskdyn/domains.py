@@ -3,11 +3,12 @@
 Every entry models an open connected set X inside the disk and answers, at
 minimum, exact membership, of a point or of an array of points: moduli come
 from `hyperbolic.modulus`, so a point gets the same answer bit for bit alone
-and in an array, and every member passes `hyperbolic.inside`, so it is a
-valid DiskPoint.  Simply connected entries carry conformal maps
-to and from the disk (which transport the disk metric to the intrinsic
-metric of X); entries with unbounded inradius expose `deep_point`, a path
-of centers witnessing arbitrarily large inscribed metric disks.
+and in an array, and every member passes `hyperbolic.inside`, so
+`hyperbolic.disk_point` accepts it.  Simply connected entries carry
+conformal maps to and from the disk (which transport the disk metric to
+the intrinsic metric of X); entries with unbounded inradius expose
+`deep_point`, a path of centers witnessing arbitrarily large inscribed
+metric disks.
 
 Distances are in the rho-normalization of :mod:`diskdyn.hyperbolic`
 (density 1/(1-|z|^2)); "inradius" at a point always means the distance
@@ -25,8 +26,8 @@ import numpy as np
 from .errors import BoundaryError, ConfigError, NumericError, PreconditionError
 from .hyperbolic import (
     BOUNDARY_GUARD,
-    DiskPoint,
     HyperbolicDisk,
+    disk_point,
     inside,
     modulus,
     rho,
@@ -90,7 +91,7 @@ class DomainModel:
         raise NotImplementedError
 
     @property
-    def anchor(self) -> DiskPoint:
+    def anchor(self) -> complex:
         """A canonical interior point used for defaults."""
         raise NotImplementedError
 
@@ -121,7 +122,7 @@ class DomainModel:
             return rho_of(np.min(sinh2_rho(complex(a), self.punctures)))
         return curve_min_rho(a, self.boundary_point)
 
-    def deep_point(self, t: float) -> DiskPoint:
+    def deep_point(self, t: float) -> complex:
         raise PreconditionError(
             f"{self.describe()} has no deep-point path (bounded inradius)"
         )
@@ -136,7 +137,7 @@ class DomainModel:
         if depth > 0 and float(depth) not in ts:
             ts.append(float(depth))
         try:
-            return [complex(self.deep_point(t)) for t in ts]
+            return [self.deep_point(t) for t in ts]
         except PreconditionError:
             return []
 
@@ -176,8 +177,8 @@ class EuclideanSubdisk(DomainModel):
         return f"disk({self.center.real:g},{self.center.imag:g},{self.radius:g})"
 
     @property
-    def anchor(self) -> DiskPoint:
-        return DiskPoint(self._h)
+    def anchor(self) -> complex:
+        return self._h
 
     def _inside(self, z):
         return modulus(z - self.center) < self.radius
@@ -230,8 +231,8 @@ class Horodisk(DomainModel):
         return f"horodisk({ang:g},{self.size:g})"
 
     @property
-    def anchor(self) -> DiskPoint:
-        return DiskPoint(self._euclid_center)
+    def anchor(self) -> complex:
+        return disk_point(self._euclid_center)
 
     def _inside(self, z):
         return modulus(z - self._euclid_center) < self.size
@@ -259,13 +260,13 @@ class Horodisk(DomainModel):
         self._require_member(a)
         return 0.5 * math.log(self._height(a) / self._h0)
 
-    def deep_point(self, t: float) -> DiskPoint:
+    def deep_point(self, t: float) -> complex:
         """The axis point whose inradius is max(t, anchor inradius)."""
         t_eff = max(float(t), self._anchor_inradius) + 1e-12
         y = self._h0 * math.exp(2.0 * t_eff)
         x = 1.0 - 2.0 / (y + 1.0)
         try:
-            return DiskPoint(x * self.tangency)
+            return disk_point(x * self.tangency)
         except BoundaryError as exc:
             raise NumericError(
                 f"deep point at inradius {t!r} falls within {BOUNDARY_GUARD} "
@@ -323,8 +324,8 @@ class RDenseComplement(DomainModel):
         return f"rdense({self.mesh:g},{self.depth:g})"
 
     @property
-    def anchor(self) -> DiskPoint:
-        return DiskPoint(0j)
+    def anchor(self) -> complex:
+        return 0j
 
     def search_depth_cap(self) -> float | None:
         return self.covered_depth - self.mesh

@@ -22,27 +22,18 @@ BOUNDARY_GUARD = 1e-15
 TWO_PI = 2.0 * math.pi
 
 
-class DiskPoint(complex):
-    """A complex number of modulus strictly below 1.
-
-    Construction rejects every value where `inside` is false: on or
-    outside the unit circle, within BOUNDARY_GUARD of it, or not finite.
-    Instances behave as ordinary complex numbers in arithmetic (results
-    are plain complex, unvalidated).
-    """
-
-    def __new__(cls, *args):
-        z = complex(*args)
-        if not inside(z):
-            raise BoundaryError(
-                f"point {z!r} is not strictly inside the unit disk "
-                # math.hypot reads inf where Python's abs would overflow
-                f"(modulus {math.hypot(z.real, z.imag)!r}, guard {BOUNDARY_GUARD})"
-            )
-        return super().__new__(cls, z.real, z.imag)
-
-    def __repr__(self):
-        return f"DiskPoint({complex(self)!r})"
+def disk_point(z) -> complex:
+    """complex(z), a point of the disk: rejects every value where `inside`
+    is false (on or outside the unit circle, within BOUNDARY_GUARD of
+    it, or not finite)."""
+    z = complex(z)
+    if not inside(z):
+        raise BoundaryError(
+            f"point {z!r} is not strictly inside the unit disk "
+            # math.hypot reads inf where Python's abs would overflow
+            f"(modulus {math.hypot(z.real, z.imag)!r}, guard {BOUNDARY_GUARD})"
+        )
+    return z
 
 
 def modulus(z):
@@ -60,7 +51,7 @@ def inside(z, guard: float = BOUNDARY_GUARD):
     """The one edge test of the disk: 1 - |z| >= guard, with |z| from
     `modulus`.  A bool for a point, a bool array of its shape for an
     array; never true for NaN or inf, nor for finite parts whose modulus
-    overflows a double.  DiskPoint accepts exactly the points where
+    overflows a double.  disk_point accepts exactly the points where
     inside(z) holds."""
     # Such a modulus is inf for hypot, which then warns, and an
     # OverflowError for Python's abs; both mean outside.
@@ -153,7 +144,7 @@ class MobiusAut:
     theta: float = 0.0
 
     def __post_init__(self):
-        a = complex(DiskPoint(self.a))
+        a = disk_point(self.a)
         if not math.isfinite(self.theta):
             raise PreconditionError(f"rotation angle must be finite, got {self.theta!r}")
         object.__setattr__(self, "a", a)
@@ -206,7 +197,7 @@ class Blaschke2:
     a: complex
 
     def __post_init__(self):
-        a = complex(DiskPoint(self.a))
+        a = disk_point(self.a)
         if a == 0:
             raise PreconditionError("Blaschke2 requires a nonzero zero a")
         object.__setattr__(self, "a", a)
@@ -214,7 +205,7 @@ class Blaschke2:
     def __call__(self, z):
         return z * (z - self.a) / (1.0 - self.a.conjugate() * z)
 
-    def preimages(self, c) -> tuple[DiskPoint, DiskPoint]:
+    def preimages(self, c) -> tuple[complex, complex]:
         """Both solutions of B(z) = c, ordered by increasing modulus.
 
         Solves z^2 - (a - conj(a) c) z - c = 0 with the numerically stable
@@ -223,7 +214,7 @@ class Blaschke2:
         roots z1 z2 = -c.  Requires c != 0 and rho(0, c) < 1; equal moduli
         within 1e-14 are reported as an ambiguous ordering.
         """
-        c = complex(DiskPoint(c))
+        c = disk_point(c)
         if c == 0:
             raise PreconditionError("preimages require a nonzero target c")
         if rho(0.0, c) >= 1.0:
@@ -244,7 +235,7 @@ class Blaschke2:
                 f"ambiguous preimage ordering for a={self.a!r}, c={c!r}: "
                 f"|z1| = |z2| = {abs(small)!r} within 1e-14"
             )
-        return DiskPoint(small), DiskPoint(big)
+        return disk_point(small), disk_point(big)
 
 
 @dataclass(frozen=True)
@@ -255,7 +246,7 @@ class HyperbolicDisk:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", complex(DiskPoint(self.center)))
+        object.__setattr__(self, "center", disk_point(self.center))
         r = float(self.radius)
         if not r >= 0.0:
             raise PreconditionError(f"disk radius must be >= 0, got {r!r}")

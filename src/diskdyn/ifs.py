@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericError, PreconditionError
 from .hyperbolic import (
-    Blaschke2, DiskPoint, MobiusAut, _coords, _sinh2, inside, rho, rho_of, sinh2_rho
+    Blaschke2, MobiusAut, _coords, _sinh2, disk_point, inside, rho, rho_of, sinh2_rho
 )
 from .sampling import ring_points
 
@@ -135,9 +135,7 @@ class ProbeSpec:
             raise PreconditionError("probe grid needs positive radius and counts")
         if (self.rings == 0) != (self.spokes == 0):
             raise PreconditionError("probe rings and spokes must vanish together")
-        object.__setattr__(
-            self, "marked", tuple(complex(DiskPoint(z)) for z in self.marked)
-        )
+        object.__setattr__(self, "marked", tuple(map(disk_point, self.marked)))
         if not inside(self.points()).all():
             raise PreconditionError(
                 f"probe rings out to rho_radius {self.rho_radius!r} leave the unit disk"
@@ -194,13 +192,13 @@ class ConvergenceReport:
     schwarz_max: float
 
 
-def compose_eval(seq, z) -> DiskPoint:
+def compose_eval(seq, z) -> complex:
     """f_1(f_2(... f_n(z))) for seq = (f_1, ..., f_n), the innermost map
     f_n; F_n(z) is compose_eval(seq[:n], z), and an empty seq the identity."""
     val = complex(z)
     for f in reversed(seq):
         val = f(val)
-    return DiskPoint(val)
+    return disk_point(val)
 
 
 def _guard(vals) -> np.ndarray:
@@ -472,7 +470,7 @@ def denjoy_wolff(f: MapDescriptor, z0, n_steps: int = 1000, tol: float = 1e-10):
         raise PreconditionError(
             "a conformal automorphism has no Denjoy-Wolff limit in general"
         )
-    z = complex(DiskPoint(z0))
+    z = disk_point(z0)
     orbit = []
     for _ in range(int(n_steps)):
         w = complex(f(z))

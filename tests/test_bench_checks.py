@@ -20,8 +20,15 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
     [
         {"command": "ifs-run", "domain": "disk(0,0,0.3)"},
         {"command": "bloch", "domain": "disk(0,0,0.3)"},
+        # A horodisk's search certifies a witness, which the checks re-verify.
+        {"command": "bloch", "domain": "horodisk(0,0.5)"},
+        {"command": "qc", "domain": "horodisk(0,0.5)"},
+        {"command": "construct-t7", "domain": "horodisk(0,0.5)", "distance": 0.3, "angle": 0.0},
+        {"command": "construct-t8", "domain": "horodisk(0.785398,0.5)", "N": 12},
+        {"command": "dw", "map": "affine(0.5,0.2)", "z0": [0.3, 0.1]},
+        {"command": "verify-lemmas"},
     ],
-    ids=["ifs-run", "bloch"],
+    ids=["ifs-run", "bloch", "bloch-witness", "qc", "construct-t7", "construct-t8", "dw", "verify-lemmas"],
 )
 def test_bench_checks_pass(tmp_path, monkeypatch, cfg):
     monkeypatch.syspath_prepend(str(BENCH))

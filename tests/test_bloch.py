@@ -25,7 +25,7 @@ from diskdyn.domains import (
     RDenseComplement,
 )
 from diskdyn.errors import NumericError, PreconditionError
-from diskdyn.hyperbolic import DiskPoint, HyperbolicDisk, MobiusAut, inside, rho
+from diskdyn.hyperbolic import HyperbolicDisk, MobiusAut, disk_point, inside, rho
 from diskdyn.sampling import hyperbolic_lattice
 
 
@@ -129,7 +129,7 @@ def test_search_horodisk_witness_at_depth_five():
 class _FlatDomain(DomainModel):
     # The whole disk with one inradius everywhere: every center ties.
     relatively_compact = expected_bloch = simply_connected = True
-    anchor = DiskPoint(0.1 - 0.2j)
+    anchor = disk_point(0.1 - 0.2j)
 
     def describe(self):
         return "flat"

@@ -91,6 +91,15 @@ def test_parse_config_validates_domain_and_start_point():
     # finite parts whose modulus overflows a double
     with pytest.raises(ConfigError, match="'z0'.*not inside"):
         parse_config('{"command":"dw","map":"square","z0":[1.7e308,1.7e308]}')
+    # The catalog's own refusals: a radius or mesh of 0, a first puncture
+    # circle that no disk point can hold.
+    for domain, why in (
+        ("disk(0,0,0)", "radius must be positive"),
+        ("rdense(0,2)", "mesh must be positive"),
+        ("rdense(30,40)", "depth must allow at least one puncture circle"),
+    ):
+        with pytest.raises(ConfigError, match=f"'domain'.*{why}"):
+            parse_config('{"command":"bloch","domain":"%s"}' % domain)
 
 
 def test_parse_map_grammar():
@@ -230,14 +239,37 @@ def test_cli_exit_code_two_on_non_positive_tol(tmp_path, capsys, doc, tol):
     assert not out.exists()
 
 
-def test_cli_exit_code_two_on_unparameterized_domain(tmp_path, capsys):
-    # A random system needs maps into the domain, and rdense has no
-    # parameterization to build them with.
-    cfg = _write(tmp_path, "r.json", {"command": "ifs-run", "domain": "rdense(0.5,2)", "N": 5})
+@pytest.mark.parametrize(
+    "doc, why",
+    [
+        ({"command": "verify-lemmas", "args_per_modulus": -3}, "args_per_modulus"),
+        ({"command": "verify-lemmas", "args_per_modulus": 0}, "args_per_modulus"),
+        ({"command": "verify-lemmas", "moduli": [0.99, 0.9]}, "moduli"),
+        ({"command": "verify-lemmas", "moduli": [0.9, 0.9]}, "moduli"),
+        ({"command": "verify-lemmas", "moduli": [-0.5, 0.9]}, "moduli"),
+        ({"command": "bloch", "domain": "horodisk(0,0.05)", "depth": 1.0}, "no admissible search centers"),
+    ],
+    ids=["no-args", "zero-args", "decreasing", "repeated", "negative", "no-centers"],
+)
+def test_cli_exit_code_two_on_inputs_with_nothing_to_report(tmp_path, capsys, doc, why):
+    # Not a worst gap over no samples, a gap at a negative modulus, a
+    # numeric failure for moduli out of order, nor a search of no centers.
+    cfg = _write(tmp_path, "v.json", doc)
     out = tmp_path / "res"
-    assert main(["ifs-run", "--config", cfg, "--out", str(out)]) == 2
-    assert "no conformal parameterization" in capsys.readouterr().err
+    assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
+    assert why in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_exit_code_two_on_unparameterized_domain(tmp_path, capsys):
+    # A random system needs maps into the domain, and both builders need
+    # intrinsic distances; rdense has no parameterization for either.
+    for command in ("ifs-run", "construct-t7", "construct-t8"):
+        cfg = _write(tmp_path, "r.json", {"command": command, "domain": "rdense(0.5,2)", "N": 5})
+        out = tmp_path / "res"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "no conformal parameterization" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_exit_code_three_on_numeric_failure(tmp_path):

@@ -236,6 +236,8 @@ def test_alternating_builder_rejections():
     a = complex(X.anchor)
     with pytest.raises(PreconditionError):
         build_alternating_system(EuclideanSubdisk(0j, 0.5), 0j, 0.1, 4)
+    with pytest.raises(PreconditionError, match="no single-valued parameterization"):
+        build_alternating_system(RDenseComplement(0.5, 2), 0j, 0.1, 3)
     with pytest.raises(PreconditionError):
         build_alternating_system(X, a, a, 4)
     with pytest.raises(PreconditionError):
@@ -286,3 +288,11 @@ def test_preimage_convergence_deterministic():
 def test_preimage_convergence_validation():
     with pytest.raises(PreconditionError):
         preimage_convergence_report(target=0.0)
+    # A worst gap over no samples, or gaps at moduli out of order or off
+    # (0, 1), reports nothing.
+    for n in (0, -3):
+        with pytest.raises(PreconditionError, match="args_per_modulus"):
+            preimage_convergence_report(args_per_modulus=n)
+    for moduli in ((0.99, 0.9), (0.9, 0.9), (-0.5, 0.9), (0.0, 0.9), (0.9, 1.0), (0.9, float("nan"))):
+        with pytest.raises(PreconditionError, match="moduli"):
+            preimage_convergence_report(moduli=moduli)

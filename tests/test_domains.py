@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mobius_image
-from diskdyn.bloch import RadialStretch, StretchedDomain
-from diskdyn.constructions import covering_with_basepoint
+from diskdyn.bloch import RadialStretch, StretchedDomain, bloch_radius_search
+from diskdyn.constructions import (
+    build_nonconstant_system,
+    covering_with_basepoint,
+    point_at_intrinsic_distance,
+)
 from diskdyn.domains import (
     DomainModel,
     EuclideanSubdisk,
@@ -18,7 +22,8 @@ from diskdyn.domains import (
     parse_domain,
 )
 from diskdyn.errors import NumericError, PreconditionError
-from diskdyn.hyperbolic import MobiusAut, inside, rho, rho_grid
+from diskdyn.hyperbolic import Blaschke2, MobiusAut, inside, rho, rho_grid
+from diskdyn.ifs import Affine, compose_eval
 
 
 def _rand_point(rng, rmax=0.95):
@@ -121,6 +126,29 @@ def test_horodisk_deep_point_path():
         assert rho(0.0, a) == pytest.approx(t, abs=1e-9)
         assert r > prev
         prev = r
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        *map(parse_domain, ("disk(0.1,0.2,0.4)", "horodisk(0.7,0.5)", "rdense(0.5,2)")),
+        StretchedDomain(Horodisk(cmath.exp(0.7j), 0.5), RadialStretch(2.0)),
+    ],
+    ids=lambda X: X.describe(),
+)
+def test_returned_points_are_plain_complex(X):
+    # A point of the disk is a complex that passed disk_point, not a subclass
+    # the distance kernel's fast paths would miss.
+    assert type(X.anchor) is complex
+    assert type(bloch_radius_search(X).best_center) is complex
+    assert type(compose_eval([Affine(0.5, 0.2)], np.complex128(X.anchor))) is complex
+    if isinstance(X, Horodisk):
+        a = X.deep_point(2.0)
+        assert type(a) is complex
+        assert all(type(z) is complex for z in Blaschke2(a).preimages(0.3))
+        w0 = point_at_intrinsic_distance(X, X.anchor, 0.3)
+        _seq, steps = build_nonconstant_system(X, X.anchor, w0, 2)
+        assert all(type(s.marked_tilde) is complex for s in steps)
 
 
 def test_horodisk_deep_point_overflow_is_numeric_error():
@@ -305,7 +333,7 @@ _NOT_FINITE = [complex("nan"), complex("inf"), complex(-math.inf, 0.5), 1.7e308 
 )
 def test_contains_answers_arrays_as_points(X, ts, picks, zs):
     # Points exactly on edges: 0, punctures and boundary-curve samples,
-    # and the disk's own edge: every member must be a valid DiskPoint.
+    # and the disk's own edge: every member must pass disk_point.
     # The non-finite points must pass without an error or a warning.
     pts = [0j, *zs, *_NEAR_EDGE, *_NOT_FINITE]
     if X.punctures is not None:

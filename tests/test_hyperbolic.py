@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from diskdyn.errors import BoundaryError, NumericError, PreconditionError
 from diskdyn.hyperbolic import (
     Blaschke2,
-    DiskPoint,
     HyperbolicDisk,
     MobiusAut,
+    disk_point,
     inside,
     modulus,
     rho,
@@ -29,19 +29,19 @@ def _rand_point(rng, rmax=0.95):
 
 
 def test_disk_point_guard():
-    assert complex(DiskPoint(0.5j)) == 0.5j
+    assert disk_point(0.5j) == 0.5j
     for bad in (1.0, -1.0, 1.0 + 0j, 0.8 + 0.7j, 1.0 - 1e-16):
         with pytest.raises(BoundaryError):
-            DiskPoint(bad)
+            disk_point(bad)
     # NaN must not slip through the guard comparison.
     with pytest.raises(BoundaryError):
-        DiskPoint(complex("nan"))
+        disk_point(complex("nan"))
     # Nor finite parts whose modulus overflows a double: no OverflowError
     # from Python's abs, no overflow warning from hypot.
     huge = complex(1.7e308, 1.7e308)
     assert inside(huge) is False
     with pytest.raises(BoundaryError, match="modulus inf"):
-        DiskPoint(huge)
+        disk_point(huge)
     assert inside(np.array([huge, 0.5j, -huge])).tolist() == [False, True, False]
 
 
@@ -67,7 +67,7 @@ def test_disk_point_accepts_exactly_where_inside_holds(zs, edge):
         assert type(inside(z)) is bool and inside(z) == flag
         assert modulus(z) == modulus(np.array([z]))[0] or math.isnan(modulus(z))
         try:
-            DiskPoint(z)
+            disk_point(z)
         except BoundaryError:
             assert not flag, z
         else:

@@ -718,6 +718,10 @@ def test_denjoy_wolff_boundary_point():
     limit, where, _orbit = denjoy_wolff(f, 0.0)
     assert where == "boundary"
     assert abs(limit - 1.0) < 1e-12
+    # A tol no step can meet: the orbit guard inside the loop stops it.
+    limit, where, orbit = denjoy_wolff(f, 0.0, tol=1e-300)
+    assert (limit, where, len(orbit)) == (1.0 + 0j, "boundary", 47)
+    assert 1.0 - abs(orbit[-1]) < ORBIT_GUARD <= 1.0 - abs(orbit[-2])
 
 
 def test_denjoy_wolff_non_finite_orbit_is_numeric_error():
