@@ -417,7 +417,7 @@ def _run_dw(options: dict):
     }
     heads = (f"{n},0" for n in range(1, len(orbit) + 1))
     lines = _csv_lines(heads, np.array(orbit, dtype=complex), repeat(",0.0"))
-    return results, lines, [f] * options["N"]
+    return results, lines, [f] * len(orbit)
 
 
 def _run_verify(options: dict):

@@ -274,17 +274,20 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
     """Build maps into X whose composites alternate the orbit of `base`.
 
     Each f_n is a covering pinned so f_n(base) equals the previous target
-    (initially value1) with rotation chosen so the unique preimage of
-    base under f_n lies in X: candidates sweep a hyperbolic circle about
-    base, which must meet X.  Even composites return base to itself, odd
-    ones to value1.  Requires n_steps >= 1.  Returns (descriptors, steps).
+    (initially value1) with rotation theta_n chosen so the unique preimage
+    a_n of base under f_n lies in X.  The candidates sweep a hyperbolic
+    circle about base, which must meet X: one array scan of 4096 angles
+    finds the circle's runs inside X, and theta_n is the middle scanned
+    angle of the longest run (0 when the whole circle is inside).  Even
+    composites return base to itself, odd ones to value1.  Requires
+    n_steps >= 1.  Returns (descriptors, steps).
 
-    Double precision supports about 27 steps: the circle radius grows by
-    about 0.27 a step, so the new points near the unit circle (1 - |a_n|
-    is about 6e-8 at step 27 on horodisk(pi/4,0.3)).  Rounding in rho
-    there reaches the checks' tolerance: from step 28 the circle check
-    (then the pins) fails on some horodisks, and the builder raises
-    NumericError.
+    Double precision stops the build: the circle radius grows by 0.20 to
+    0.26 a step, and once 1 - |a_n| is about 3e-8 to 6e-8, rounding in rho
+    reaches the checks' tolerance and the builder raises NumericError.  At
+    the CLI's default distance and angle on horodisk(k pi/4, s), k = 0..7,
+    s = 0.3..0.7, it builds 27 steps at least (horodisk(pi/4,0.3) fails
+    at step 28) and 37 or 38 on the median one.
     """
     _require_steps(n_steps)
     if not X.simply_connected:
@@ -301,23 +304,19 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
     if base == complex(value1):
         raise PreconditionError("base and value1 must be distinct")
 
-    to_base = MobiusAut(base)
-    from_base = to_base.inverse()
+    from_base = MobiusAut(base).inverse()
     scan = 4096
+    thetas = 2.0 * math.pi * np.arange(scan) / scan
+    turns = np.exp(-1j * thetas)
+    u_base = complex(X.riemann_from(base))
 
     descriptors: list[MapDescriptor] = []
     steps: list[AlternatingStep] = []
     prev = complex(value1)
     for n in range(1, n_steps + 1):
-        q = complex(X.riemann_from(prev))
-        g = MobiusAut(q)(complex(X.riemann_from(base)))
+        g = MobiusAut(complex(X.riemann_from(prev)))(u_base)
         radius = rho(0.0, g)
-
-        def candidate(theta):
-            return from_base(cmath.exp(-1j * theta) * g)
-
-        thetas = 2.0 * math.pi * np.arange(scan) / scan
-        member = X.contains(from_base(np.exp(-1j * thetas) * g))
+        member = X.contains(from_base(turns * g))
         if member.all():
             theta_n = 0.0
         else:
@@ -329,15 +328,9 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
                     f"resolution {scan}"
                 )
             start, length = max(runs, key=lambda r: (r[1], -r[0]))
-            step = 2.0 * math.pi / scan
-            lo = _refine_edge(candidate, X, thetas[start] - step, thetas[start])
-            hi_idx = (start + length - 1) % scan
-            hi = _refine_edge(candidate, X, thetas[hi_idx] + step, thetas[hi_idx])
-            if hi < lo:
-                hi += 2.0 * math.pi
-            theta_n = float(0.5 * (lo + hi)) % (2.0 * math.pi)
+            theta_n = float(thetas[(start + length // 2) % scan])
 
-        a_n = candidate(theta_n)
+        a_n = from_base(cmath.exp(-1j * theta_n) * g)
         f = covering_with_basepoint(X, base, prev, theta_n)
         checks = {
             "pins": abs(f(base) - prev) < _CHECK_TOL and abs(f(a_n) - base) < _CHECK_TOL,
@@ -359,17 +352,6 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
         )
         prev = complex(a_n)
     return descriptors, steps
-
-
-def _refine_edge(candidate, X, t_out: float, t_in: float) -> float:
-    """Bisect a membership edge between an outside and an inside angle."""
-    for _ in range(48):
-        mid = 0.5 * (t_out + t_in)
-        if X.contains(candidate(mid)):
-            t_in = mid
-        else:
-            t_out = mid
-    return t_in
 
 
 @dataclass(frozen=True)

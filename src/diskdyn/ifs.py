@@ -48,6 +48,10 @@ _SWEEP_BLOCK = 8192
 _PAIR_BLOCK = 8192
 _TILE = 16
 
+# ProbeSpec refuses a probe of more points than this: `run` holds sinh^2
+# rho of every pair of probe points, 8 P^2 bytes, so about 0.8 GB here.
+MAX_PROBE_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class Affine:
@@ -119,7 +123,7 @@ class MapDescriptor:
 class ProbeSpec:
     """Compact probe set: origin + polar grid in {rho(0,z) <= rho_radius},
     plus optional marked points appended at the end.  Every point must
-    pass `hyperbolic.inside`.
+    pass `hyperbolic.inside`, and there are at most MAX_PROBE_POINTS.
 
     rings = spokes = 0 with origin False declares an empty probe (vacuous
     runs produce a header-only trace)."""
@@ -135,6 +139,12 @@ class ProbeSpec:
             raise PreconditionError("probe grid needs positive radius and counts")
         if (self.rings == 0) != (self.spokes == 0):
             raise PreconditionError("probe rings and spokes must vanish together")
+        count = self.rings * self.spokes + int(self.origin) + len(self.marked)
+        if count > MAX_PROBE_POINTS:
+            raise PreconditionError(
+                f"a probe of {count} points exceeds the limit of {MAX_PROBE_POINTS} "
+                f"points ({8 * MAX_PROBE_POINTS**2 / 1e9:.1f} GB of pair tiles)"
+            )
         object.__setattr__(self, "marked", tuple(map(disk_point, self.marked)))
         if not inside(self.points()).all():
             raise PreconditionError(

@@ -4,6 +4,7 @@
 `rho_grid`, `witness_disk_verify`, ...), so an API change that breaks it
 shows here, without a benchmark run.
 """
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -13,6 +14,12 @@ import pytest
 from diskdyn.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# The construct grid's tangencies; at size 0.3 its t8 arcs are shortest.
+_spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+_workloads = sys.modules["bench_workloads"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+EIGHTHS = _workloads.EIGHTHS
 
 
 @pytest.mark.parametrize(
@@ -27,8 +34,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
         {"command": "construct-t8", "domain": "horodisk(0.785398,0.5)", "N": 12},
         {"command": "dw", "map": "affine(0.5,0.2)", "z0": [0.3, 0.1]},
         {"command": "verify-lemmas"},
+        *({"command": "construct-t8", "domain": f"horodisk({t},0.3)", "N": 20} for t in EIGHTHS),
     ],
-    ids=["ifs-run", "bloch", "bloch-witness", "qc", "construct-t7", "construct-t8", "dw", "verify-lemmas"],
+    ids=[
+        "ifs-run", "bloch", "bloch-witness", "qc", "construct-t7", "construct-t8", "dw", "verify-lemmas",
+        *(f"construct-t8-short-arcs-{k}" for k in range(len(EIGHTHS))),
+    ],
 )
 def test_bench_checks_pass(tmp_path, monkeypatch, cfg):
     monkeypatch.syspath_prepend(str(BENCH))

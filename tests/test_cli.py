@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from diskdyn.cli import RunConfig, _reprs, main, parse_config, parse_map
 from diskdyn.errors import ConfigError
 from diskdyn.hyperbolic import MobiusAut
-from diskdyn.ifs import Affine, Squaring
+from diskdyn.ifs import Affine, MapDescriptor, Squaring, _evaluate_grid
 
 
 def test_parse_config_fills_and_echoes_defaults():
@@ -152,18 +152,51 @@ def test_cli_dw_end_to_end(tmp_path):
     assert len(grid) == 1 + 12 * 24
 
 
-def test_cli_exit_code_two_on_bad_config(tmp_path):
+def test_cli_dw_grid_is_the_image_under_the_iterates(tmp_path):
+    # grid.csv applies f as often as the orbit did, not N times.
+    cfg = GOLDEN / "dw" / "config.json"
+    doc = json.loads(cfg.read_text(encoding="utf-8"))
+    assert main(["dw", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    iterations = json.loads((tmp_path / "report.json").read_text())["results"]["iterations"]
+    assert iterations < 1000
+    rows = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1)
+    src = rows[:, 2] + 1j * rows[:, 3]
+    f = MapDescriptor(parse_map(doc["map"]))
+    img = _evaluate_grid([f] * iterations, src)
+    assert np.array_equal(rows[:, 4], img.real) and np.array_equal(rows[:, 5], img.imag)
+
+
+def test_cli_exit_code_two_on_bad_config(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.json", {"command": "dw", "map": "square"})
     assert main(["dw", "--config", cfg]) == 2
     assert main(["dw", "--config", str(tmp_path / "missing.json")]) == 2
+    # An output directory that cannot be made: below a regular file.
+    good = _write(tmp_path, "dw.json", {"command": "dw", "map": "affine(0.5,0.2)", "z0": [0.1, 0]})
+    assert main(["dw", "--config", good, "--out", str(tmp_path / "dw.json" / "res")]) == 2
+    assert "cannot write outputs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["dw"], {"name": "dw"}], ids=["list", "object"])
-def test_cli_exit_code_two_on_non_string_command(tmp_path, command):
-    doc = {"command": command, "map": "affine(0.5,0.2)", "z0": [0.1, 0]}
+_DW = {"map": "affine(0.5,0.2)", "z0": [0.1, 0]}
+_IFS = {"command": "ifs-run", "domain": "disk(0,0,0.3)"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, why",
+    [
+        ("dw", {"command": ["dw"], **_DW}, "'command'"),
+        ("dw", {"command": {"name": "dw"}, **_DW}, "'command'"),
+        ("dw", [1], "config must be a JSON object"),
+        ("ifs-run", {**_IFS, "probe": 3}, "'probe': expected an object"),
+        ("ifs-run", {**_IFS, "probe": {"origin": 1}}, "'probe.origin'"),
+    ],
+    ids=["list", "object", "config-list", "probe-number", "origin-number"],
+)
+def test_cli_exit_code_two_on_non_string_command(tmp_path, capsys, command, doc, why):
+    # A command, a config or a key of the wrong JSON type is refused by name.
     cfg = _write(tmp_path, "cmd.json", doc)
     out = tmp_path / "res"
-    assert main(["dw", "--config", cfg, "--out", str(out)]) == 2
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert why in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -177,19 +210,27 @@ def test_cli_exit_code_two_on_non_finite_domain(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, why",
     [
-        {"command": "construct-t7", "domain": "horodisk(0,0.5)", "a0": [1.7e308, 1.7e308]},
-        {"command": "construct-t8", "domain": "horodisk(0,0.5)", "base": [1.7e308, 1.7e308]},
+        (
+            {"command": "construct-t7", "domain": "horodisk(0,0.5)", "a0": [1.7e308, 1.7e308]},
+            "not in horodisk(0,0.5)",
+        ),
+        (
+            {"command": "construct-t8", "domain": "horodisk(0,0.5)", "base": [1.7e308, 1.7e308]},
+            "not in horodisk(0,0.5)",
+        ),
+        ({"command": "dw", **_DW, "tol": 10**400}, "'tol': expected a finite number"),
     ],
-    ids=["t7", "t8"],
+    ids=["t7", "t8", "tol-digits"],
 )
-def test_cli_exit_code_two_on_overflowing_base_point(tmp_path, capsys, doc):
-    # The point's modulus overflows a double: outside, not a traceback.
+def test_cli_exit_code_two_on_overflowing_base_point(tmp_path, capsys, doc, why):
+    # The point's modulus, or the integer, overflows a double: refused, not
+    # a traceback.
     cfg = _write(tmp_path, "big.json", doc)
     out = tmp_path / "res"
     assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
-    assert "not in horodisk(0,0.5)" in capsys.readouterr().err
+    assert why in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -248,12 +289,14 @@ def test_cli_exit_code_two_on_non_positive_tol(tmp_path, capsys, doc, tol):
         ({"command": "verify-lemmas", "moduli": [0.9, 0.9]}, "moduli"),
         ({"command": "verify-lemmas", "moduli": [-0.5, 0.9]}, "moduli"),
         ({"command": "bloch", "domain": "horodisk(0,0.05)", "depth": 1.0}, "no admissible search centers"),
+        ({**_IFS, "probe": {"rings": 100, "spokes": 250}}, "exceeds the limit of 10000 points"),
     ],
-    ids=["no-args", "zero-args", "decreasing", "repeated", "negative", "no-centers"],
+    ids=["no-args", "zero-args", "decreasing", "repeated", "negative", "no-centers", "huge-probe"],
 )
 def test_cli_exit_code_two_on_inputs_with_nothing_to_report(tmp_path, capsys, doc, why):
     # Not a worst gap over no samples, a gap at a negative modulus, a
-    # numeric failure for moduli out of order, nor a search of no centers.
+    # numeric failure for moduli out of order, a search of no centers, nor
+    # a run whose probe pairs would not fit in memory.
     cfg = _write(tmp_path, "v.json", doc)
     out = tmp_path / "res"
     assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
@@ -272,20 +315,25 @@ def test_cli_exit_code_two_on_unparameterized_domain(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_exit_code_three_on_numeric_failure(tmp_path):
-    # a contraction this slow does not settle in 100 steps: undecided
-    # orbits are numeric errors
-    cfg = _write(
-        tmp_path,
-        "slow.json",
-        {
-            "command": "dw",
-            "map": "affine(0.999999,0)",
-            "z0": [0.5, 0],
-            "N": 100,
-        },
-    )
-    assert main(["dw", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+def test_cli_exit_code_three_on_numeric_failure(tmp_path, capsys):
+    cases = [
+        # a contraction this slow does not settle in 100 steps: undecided
+        # orbits are numeric errors
+        ({"command": "dw", "map": "affine(0.999999,0)", "z0": [0.5, 0], "N": 100}, "is undecided"),
+        # the deep witness's samples round onto the circle
+        ({"command": "bloch", "domain": "horodisk(0,0.5)", "depth": 9}, "failed sample certification"),
+        # the circle check fails near step 40, where rho rounds off
+        (
+            {"command": "construct-t8", "domain": "horodisk(0,0.5)", "N": 45},
+            "alternating invariants failed: ['circle']",
+        ),
+    ]
+    for doc, why in cases:
+        cfg = _write(tmp_path, "fail.json", doc)
+        out = tmp_path / "o"
+        assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 3, doc
+        assert why in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

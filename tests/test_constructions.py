@@ -231,6 +231,27 @@ def test_alternating_builder_on_transported_domain():
         assert abs(v - target) < 1e-8
 
 
+def test_alternating_builder_scans_once_a_step(monkeypatch):
+    # Each step asks X for one array scan of the sweep circle and two
+    # points (the previous value and the new one); the two inputs are
+    # checked once.  The arc's middle comes from the scan: no bisection.
+    X = Horodisk(1.0, 0.3)
+    a = complex(X.anchor)
+    a1 = point_at_intrinsic_distance(X, a, 1.0, math.pi / 3)
+    calls = []
+    contains = X.contains
+
+    def counted(z):
+        calls.append(np.ndim(z))
+        return contains(z)
+
+    monkeypatch.setattr(X, "contains", counted)
+    build_alternating_system(X, a, a1, 12)
+    assert calls.count(1) == 12
+    assert calls.count(0) == 2 * 12 + 2
+    assert len(calls) == 38
+
+
 def test_alternating_builder_rejections():
     X = Horodisk(1.0, 0.5)
     a = complex(X.anchor)

@@ -140,6 +140,25 @@ def test_probe_spec_validation_and_empty():
     assert empty.points().size == 0
 
 
+def test_probe_spec_refuses_more_points_than_the_pair_tiles_hold(monkeypatch):
+    # Rings times spokes, the origin and the marked points count; the
+    # refusal comes before any point is built.
+    assert diskdyn.ifs.MAX_PROBE_POINTS == 10_000
+    assert ProbeSpec(rings=99, spokes=101).points().size == 10_000
+
+    def unbuilt(*_args):
+        raise AssertionError("a refused probe built its points")
+
+    monkeypatch.setattr(diskdyn.ifs, "ring_points", unbuilt)
+    for probe in (
+        {"rings": 99, "spokes": 101, "marked": (0.1,)},
+        {"rings": 100, "spokes": 100, "origin": True},
+        {"rings": 100, "spokes": 250},
+    ):
+        with pytest.raises(PreconditionError, match=r"limit of 10000 points \(0\.8 GB"):
+            ProbeSpec(**probe)
+
+
 def test_run_empty_probe_is_vacuous():
     X = EuclideanSubdisk(0j, 0.3)
     seq = random_system(X, seed=1, count=5)
