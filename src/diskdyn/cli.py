@@ -15,6 +15,7 @@ import argparse
 import inspect
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, repeat
@@ -75,9 +76,15 @@ class RunConfig:
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _refused(path, expected: str, v) -> ConfigError:
+    # reprlib bounds the echo: a 400-digit integer prints as its first and
+    # last digits.
+    return ConfigError(f"config key {path!r}: expected {expected}, got {reprlib.repr(v)}")
+
+
 def _check_int(path, v):
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config key {path!r}: expected an integer, got {v!r}")
+        raise _refused(path, "an integer", v)
     return v
 
 
@@ -93,31 +100,31 @@ def _is_number(v) -> bool:
 
 def _check_float(path, v):
     if not _is_number(v):
-        raise ConfigError(f"config key {path!r}: expected a finite number, got {v!r}")
+        raise _refused(path, "a finite number", v)
     return float(v)
 
 
 def _check_str(path, v):
     if not isinstance(v, str):
-        raise ConfigError(f"config key {path!r}: expected a string, got {v!r}")
+        raise _refused(path, "a string", v)
     return v
 
 
 def _check_bool(path, v):
     if not isinstance(v, bool):
-        raise ConfigError(f"config key {path!r}: expected true/false, got {v!r}")
+        raise _refused(path, "true/false", v)
     return v
 
 
 def _check_pair(path, v):
     if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_is_number, v)):
-        raise ConfigError(f"config key {path!r}: expected finite [re, im], got {v!r}")
+        raise _refused(path, "finite [re, im]", v)
     return [float(v[0]), float(v[1])]
 
 
 def _check_floatlist(path, v):
     if not isinstance(v, (list, tuple)) or not v or not all(map(_is_number, v)):
-        raise ConfigError(f"config key {path!r}: expected a list of finite numbers, got {v!r}")
+        raise _refused(path, "a list of finite numbers", v)
     return [float(x) for x in v]
 
 
@@ -126,7 +133,7 @@ def _check_object(schema: dict):
 
     def check(path, v):
         if not isinstance(v, dict):
-            raise ConfigError(f"config key {path!r}: expected an object, got {v!r}")
+            raise _refused(path, "an object", v)
         return _parse_keys(v, schema, f"{path}.", "")
 
     return check
@@ -166,7 +173,7 @@ def _parse_keys(doc: dict, schema: dict, prefix: str, where: str) -> dict:
     out = {}
     for key, value in doc.items():
         if key not in schema:
-            raise ConfigError(f"unknown config key {prefix + key!r}{where}")
+            raise ConfigError(f"unknown config key {reprlib.repr(prefix + key)}{where}")
         out[key] = schema[key][0](prefix + key, value)
     for key, (check, default) in schema.items():
         if key in out:
@@ -197,7 +204,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("config key 'command' is required")
     if _check_str("command", command) not in _COMMANDS:
         raise ConfigError(
-            f"config key 'command': unknown command {command!r}; "
+            f"config key 'command': unknown command {reprlib.repr(command)}; "
             f"expected one of {', '.join(COMMANDS)}"
         )
     schema = {**_COMMON_KEYS, **_COMMANDS[command][0]}
@@ -239,12 +246,13 @@ def parse_map(text: str) -> tuple:
     pieces = []
     for i, raw in enumerate(text.split("|"), start=1):
         tok = raw.strip()
+        label = f"map token {i} {reprlib.repr(tok)}"
         try:
-            pieces.append(_parse_call(tok, _MAP_PIECES, f"map token {i} {tok!r}"))
+            pieces.append(_parse_call(tok, _MAP_PIECES, label))
         except ConfigError:
             raise
         except PreconditionError as exc:
-            raise ConfigError(f"map token {i} {tok!r}: {exc}") from None
+            raise ConfigError(f"{label}: {exc}") from None
     return tuple(pieces)
 
 

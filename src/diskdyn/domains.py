@@ -20,6 +20,7 @@ import cmath
 import functools
 import math
 import re
+import reprlib
 
 import numpy as np
 
@@ -34,10 +35,13 @@ from .hyperbolic import (
     rho_of,
     sinh2_rho,
 )
-from .sampling import curve_min_rho, ring_points
+from .sampling import _curve_window, curve_min_rho, ring_points
 
 # RDenseComplement refuses a net of more punctures than this (16 MiB).
 MAX_PUNCTURES = 1_000_000
+# Boundary-curve scan windows a domain keeps for its next inradius
+# queries, 48 KiB each.
+_CURVE_WINDOWS = 16
 
 
 class DomainModel:
@@ -115,12 +119,32 @@ class DomainModel:
         """Distance from a to the complement of X inside the disk.
 
         Default: the distance to the nearest puncture when the complement
-        is a point set, else sampling over the boundary curve.
+        is a point set, else `curve_min_rho` over the boundary curve.  Its
+        scans zoom onto the same windows for nearby points, so the domain
+        keeps the last _CURVE_WINDOWS windows it evaluated (under 1 MiB)
+        and hands them back bit for bit.
         """
         self._require_member(a)
         if self.punctures is not None:
             return rho_of(np.min(sinh2_rho(complex(a), self.punctures)))
-        return curve_min_rho(a, self.boundary_point)
+        return curve_min_rho(a, self._boundary_window)
+
+    def _boundary_window(self, lo, width) -> tuple:
+        # A least-recently-used cache in a dict kept in use order.  It
+        # holds arrays only, never the domain, so the domain is freed by
+        # reference counting.
+        windows = self._windows
+        coords = windows.pop((lo, width), None)
+        if coords is None:
+            if len(windows) == _CURVE_WINDOWS:
+                del windows[next(iter(windows))]
+            coords = _curve_window(self.boundary_point, lo, width)
+        windows[lo, width] = coords
+        return coords
+
+    @functools.cached_property
+    def _windows(self) -> dict:
+        return {}
 
     def deep_point(self, t: float) -> complex:
         raise PreconditionError(
@@ -368,4 +392,4 @@ def parse_domain(spec: str) -> DomainModel:
     Grammar: disk(cx,cy,r) | horodisk(angle,s) | rdense(R,depth), with
     finite numbers.
     """
-    return _parse_call(spec, _DOMAINS, f"domain spec {spec!r}")
+    return _parse_call(spec, _DOMAINS, f"domain spec {reprlib.repr(spec)}")

@@ -80,12 +80,7 @@ def sinh2_rho(z, w):
     if not (type(z) is complex and type(w) is complex):
         if np.ndim(z) or np.ndim(w):
             p, r = _coords(np.asarray(z, dtype=complex)), _coords(np.asarray(w, dtype=complex))
-            # Pairs off the disk may overflow or divide by a gap of 0;
-            # they read inf whatever they computed.
-            with np.errstate(all="ignore"):
-                q = _sinh2(p, r)
-            q[~((p[2] > 0.0) & (r[2] > 0.0))] = np.inf
-            return q
+            return _sinh2_or_inf(p, r)
         z, w = complex(z), complex(w)
     az, aw = abs(z), abs(w)
     gz, gw = (1.0 - az) * (1.0 + az), (1.0 - aw) * (1.0 + aw)
@@ -115,6 +110,17 @@ def _sinh2(p, q):
     dx += dy
     dx /= g * h
     return dx
+
+
+def _sinh2_or_inf(p, q):
+    """`_sinh2` over the `_coords` of two broadcast arrays, +inf wherever
+    either gap is not positive: the array branch of `sinh2_rho`."""
+    # Pairs off the disk may overflow or divide by a gap of 0; they read
+    # inf whatever they computed.
+    with np.errstate(all="ignore"):
+        out = _sinh2(p, q)
+    out[~((p[2] > 0.0) & (q[2] > 0.0))] = np.inf
+    return out
 
 
 def rho_of(q: float) -> float:

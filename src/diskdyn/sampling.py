@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .hyperbolic import inside, rho_of, sinh2_rho
+from .hyperbolic import _coords, _sinh2_or_inf, inside, rho_of
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # curve_min_rho's points per scan and number of scans.  Three scans leave
@@ -19,6 +19,10 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # the rounding floor of the curve's own evaluation.
 _CURVE_SCAN = 2048
 _CURVE_SCANS = 4
+# The parameters of a scan window (lo, width) are lo + width * _CURVE_T,
+# the midpoints of its _CURVE_SCAN cells.  Dividing by a power of two is
+# exact, so these are the bits of lo + width * (k + 0.5) / _CURVE_SCAN.
+_CURVE_T = (np.arange(_CURVE_SCAN) + 0.5) / _CURVE_SCAN
 
 
 def ring_points(rho_radius: float, count: int, offset: float = 0.0) -> np.ndarray:
@@ -71,21 +75,32 @@ def witness_samples(center, rho_radius: float, count: int) -> np.ndarray:
     return (base + center) / (1.0 + center.conjugate() * base)
 
 
-def curve_min_rho(point, curve) -> float:
+def _curve_window(curve, lo, width) -> tuple:
+    """The `_coords` (x, y, gap) of a closed curve at the parameters of
+    the window (lo, width), taken mod 1.  `curve` maps parameters in
+    [0, 1) to disk points and must accept numpy arrays."""
+    return _coords(np.asarray(curve((lo + width * _CURVE_T) % 1.0), dtype=complex))
+
+
+def curve_min_rho(point, scan) -> float:
     """Minimum hyperbolic distance from `point` to a closed curve.
 
-    `curve` maps parameters in [0, 1) to disk points and must accept numpy
-    arrays.  A scan of _CURVE_SCAN parameters over the whole curve finds
-    the nearest sample; each further scan, _CURVE_SCANS in all, covers the
-    three spacings around the previous one's nearest sample with
-    _CURVE_SCAN parameters.  Samples on or past the unit circle read +inf.
+    `scan(lo, width)` returns the `_coords` (x, y, gap) of the curve at
+    the parameters lo + width * _CURVE_T, taken mod 1, as
+    `_curve_window(curve, lo, width)` computes them.  They depend on the
+    window (lo, width) alone, so a scan may hand back a window it kept.
+    The window (0, 1) spreads _CURVE_SCAN parameters over the whole curve
+    and finds the nearest sample; each further window, _CURVE_SCANS in
+    all, covers the three spacings around the previous one's nearest
+    sample.  Samples on or past the unit circle read +inf.
     """
+    p = _coords(np.asarray(point, dtype=complex))
     lo, width = 0.0, 1.0
     best = math.inf
     for _ in range(_CURVE_SCANS):
-        ts = lo + width * (np.arange(_CURVE_SCAN) + 0.5) / _CURVE_SCAN
-        q = sinh2_rho(point, curve(ts % 1.0))
+        q = _sinh2_or_inf(p, scan(lo, width))
         k = int(np.argmin(q))
         best = min(best, float(q[k]))
-        lo, width = ts[k] - 1.5 * width / _CURVE_SCAN, 3.0 * width / _CURVE_SCAN
+        t = lo + width * _CURVE_T[k]
+        lo, width = t - 1.5 * width / _CURVE_SCAN, 3.0 * width / _CURVE_SCAN
     return rho_of(best)

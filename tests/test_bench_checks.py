@@ -30,6 +30,8 @@ EIGHTHS = _workloads.EIGHTHS
         # A horodisk's search certifies a witness, which the checks re-verify.
         {"command": "bloch", "domain": "horodisk(0,0.5)"},
         {"command": "qc", "domain": "horodisk(0,0.5)"},
+        # The stretch of an off-center subdisk: its boundary curve is scanned.
+        {"command": "qc", "domain": "disk(0.3,-0.2,0.4)", "exponent": 3},
         {"command": "construct-t7", "domain": "horodisk(0,0.5)", "distance": 0.3, "angle": 0.0},
         {"command": "construct-t8", "domain": "horodisk(0.785398,0.5)", "N": 12},
         {"command": "dw", "map": "affine(0.5,0.2)", "z0": [0.3, 0.1]},
@@ -37,7 +39,8 @@ EIGHTHS = _workloads.EIGHTHS
         *({"command": "construct-t8", "domain": f"horodisk({t},0.3)", "N": 20} for t in EIGHTHS),
     ],
     ids=[
-        "ifs-run", "bloch", "bloch-witness", "qc", "construct-t7", "construct-t8", "dw", "verify-lemmas",
+        "ifs-run", "bloch", "bloch-witness", "qc", "qc-disk", "construct-t7", "construct-t8", "dw",
+        "verify-lemmas",
         *(f"construct-t8-short-arcs-{k}" for k in range(len(EIGHTHS))),
     ],
 )

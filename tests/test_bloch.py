@@ -1,11 +1,13 @@
 import cmath
+import gc
 import math
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mobius_image
@@ -18,15 +20,25 @@ from diskdyn.bloch import (
     qc_image_experiment,
     witness_disk_verify,
 )
+from diskdyn import domains
 from diskdyn.domains import (
     DomainModel,
     EuclideanSubdisk,
     Horodisk,
     RDenseComplement,
+    parse_domain,
 )
 from diskdyn.errors import NumericError, PreconditionError
-from diskdyn.hyperbolic import HyperbolicDisk, MobiusAut, disk_point, inside, rho
-from diskdyn.sampling import hyperbolic_lattice
+from diskdyn.hyperbolic import (
+    HyperbolicDisk,
+    MobiusAut,
+    disk_point,
+    inside,
+    rho,
+    rho_of,
+    sinh2_rho,
+)
+from diskdyn.sampling import _CURVE_SCAN, _CURVE_SCANS, _CURVE_T, hyperbolic_lattice
 
 
 def _rand_point(rng, rmax=0.95):
@@ -105,6 +117,125 @@ def test_stretched_domain_transports_depths():
         assert StretchedDomain(X, S).probe_points(depth) == [
             S.apply(p) for p in X.probe_points(S.inverse_radial(depth))
         ]
+
+
+def _curve_min_rho_rescanning(point, curve):
+    # curve_min_rho as it was before scans took windows: every scan
+    # evaluates the curve afresh.  The reference for the kept windows.
+    lo, width = 0.0, 1.0
+    best = math.inf
+    for _ in range(_CURVE_SCANS):
+        ts = lo + width * (np.arange(_CURVE_SCAN) + 0.5) / _CURVE_SCAN
+        q = sinh2_rho(point, curve(ts % 1.0))
+        k = int(np.argmin(q))
+        best = min(best, float(q[k]))
+        lo, width = ts[k] - 1.5 * width / _CURVE_SCAN, 3.0 * width / _CURVE_SCAN
+    return rho_of(best)
+
+
+def _assert_rescanning_bits(Y, points):
+    for z in points:
+        assert Y.inradius_at(z).hex() == _curve_min_rho_rescanning(z, Y.boundary_point).hex(), z
+
+
+_SCANNED_BASES = [EuclideanSubdisk(0.3 - 0.2j, 0.4), Horodisk(cmath.exp(0.7j), 0.5)]
+
+
+@pytest.mark.parametrize("base", _SCANNED_BASES, ids=lambda X: X.describe())
+@settings(max_examples=10)
+@given(
+    exponent=st.floats(1.5, 3.0),
+    start=st.complex_numbers(max_magnitude=0.9),
+    moves=st.lists(
+        st.tuples(st.sampled_from((1.0, -1.0, 1j, -1j)), st.integers(2, 40)),
+        min_size=4,
+        max_size=12,
+    ),
+)
+def test_kept_windows_match_rescanning_on_walks(base, exponent, start, moves):
+    # A walk of nearby centers, as the pattern search makes, zooms onto
+    # the same windows again and again; each kept window gives the bits
+    # of a fresh scan.
+    Y = StretchedDomain(base, RadialStretch(exponent))
+    z = Y.stretch.apply(base.riemann_to(start))
+    walk = [z]
+    for direction, halvings in moves:
+        u = math.tanh(2.0**-halvings) * direction
+        cand = (u + z) / (1.0 + z.conjugate() * u)
+        if Y.contains(cand):
+            z = cand
+            walk.append(z)
+    _assert_rescanning_bits(Y, walk)
+
+
+@pytest.mark.parametrize("base", _SCANNED_BASES, ids=lambda X: X.describe())
+@settings(max_examples=10)
+@given(exponent=st.floats(1.5, 3.0), eps=st.floats(1e-7, 1e-4))
+def test_kept_windows_tell_apart_windows_with_one_lo(base, exponent, eps):
+    # Next to the curve's second sample the second window is (0.0, 3 /
+    # _CURVE_SCAN): keyed on lo alone, it would be the first window (0, 1).
+    Y = StretchedDomain(base, RadialStretch(exponent))
+    b = complex(Y.boundary_point(_CURVE_T[1]))
+    z = b + eps * (Y.anchor - b)
+    assert Y.contains(z)
+    assert np.argmin(sinh2_rho(z, Y.boundary_point(_CURVE_T))) == 1
+    _assert_rescanning_bits(Y, [z, z])
+
+
+@settings(max_examples=10)
+@given(
+    exponent=st.floats(1.5, 3.0),
+    cell=st.floats(-0.95, 0.95).filter(lambda c: abs(c) >= 0.02),
+    eps=st.floats(1e-7, 1e-4),
+)
+def test_kept_windows_wrap_past_the_tangency(exponent, cell, eps):
+    # Next to the tangency, t = 0, the nearest first sample is the first or
+    # the last, so the next windows reach past 0 or past 1 and wrap.
+    base = _SCANNED_BASES[1]
+    Y = StretchedDomain(base, RadialStretch(exponent))
+    b = complex(Y.boundary_point((cell * 0.5 / _CURVE_SCAN) % 1.0))
+    z = b + eps * (Y.anchor - b)
+    assert Y.contains(z)
+    assert np.argmin(sinh2_rho(z, Y.boundary_point(_CURVE_T))) in (0, _CURVE_SCAN - 1)
+    _assert_rescanning_bits(Y, [z, z])
+
+
+def test_stretched_search_keeps_windows_and_frees_its_domain(monkeypatch):
+    # A stretched horodisk's search evaluates the base curve for far fewer
+    # scans than it makes, keeps at most _CURVE_WINDOWS windows, and its
+    # domain, windows included, goes by reference counting alone.
+    calls = {"curve": 0, "queries": 0}
+    sizes, seen = [], []
+    curve, query = Horodisk.boundary_point, domains.curve_min_rho
+    window = DomainModel._boundary_window
+
+    def counted_curve(self, t):
+        calls["curve"] += 1
+        return curve(self, t)
+
+    def counted_query(point, scan):
+        calls["queries"] += 1
+        return query(point, scan)
+
+    def observed_window(self, lo, width):
+        if not seen:
+            seen.append(weakref.ref(self))
+        coords = window(self, lo, width)
+        sizes.append(len(self._windows))
+        return coords
+
+    monkeypatch.setattr(Horodisk, "boundary_point", counted_curve)
+    monkeypatch.setattr(domains, "curve_min_rho", counted_query)
+    monkeypatch.setattr(DomainModel, "_boundary_window", observed_window)
+    gc.disable()
+    try:
+        qc_image_experiment(parse_domain("horodisk(0,0.5)"), RadialStretch(2.0))
+        assert seen[0]() is None
+    finally:
+        gc.enable()
+    # Rescanning evaluates the curve _CURVE_SCANS times a query.
+    assert calls["curve"] < 2 * calls["queries"]
+    assert max(sizes) == domains._CURVE_WINDOWS
 
 
 def test_search_subdisk_oracle():
