@@ -314,7 +314,8 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
     steps: list[AlternatingStep] = []
     prev = complex(value1)
     for n in range(1, n_steps + 1):
-        g = MobiusAut(complex(X.riemann_from(prev)))(u_base)
+        u_prev = complex(X.riemann_from(prev))
+        g = MobiusAut(u_prev)(u_base)
         radius = rho(0.0, g)
         member = X.contains(from_base(turns * g))
         if member.all():
@@ -331,7 +332,7 @@ def build_alternating_system(X: DomainModel, base, value1, n_steps: int):
             theta_n = float(thetas[(start + length // 2) % scan])
 
         a_n = from_base(cmath.exp(-1j * theta_n) * g)
-        f = covering_with_basepoint(X, base, prev, theta_n)
+        f = MapDescriptor((MobiusAut.two_point(base, u_prev, theta_n),), target=X)
         checks = {
             "pins": abs(f(base) - prev) < _CHECK_TOL and abs(f(a_n) - base) < _CHECK_TOL,
             "member": X.contains(a_n),

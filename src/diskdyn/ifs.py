@@ -3,10 +3,11 @@
 A system is a list of map descriptors f_1, f_2, ...; the n-th composite
 is F_n = f_1 o f_2 o ... o f_n (the newest map acts first).  The engine
 evaluates all composites F_1 ... F_N on a compact probe grid of P points
-in one triangular sweep (one vectorized call per map, O(N^2 P) point
-evaluations), tracks rho-diameters and marked-point orbits, and
-classifies the tail behavior as a constant limit, a non-constant floor,
-or alternating accumulation clusters.
+in one triangular sweep (one or two vectorized calls per map), tracks
+rho-diameters and marked-point orbits, and classifies the tail behavior
+as a constant limit, a non-constant floor, or alternating accumulation
+clusters.  The sweep's O(N^2 P) point evaluations hold only until rows
+collapse: a row that has become one double is carried as one point.
 
 Each step's diameter and Schwarz-Pick slack come from one pass over the
 probe's pairs of tiles of nearby points.  It bounds each pair of tiles
@@ -34,9 +35,10 @@ from .sampling import ring_points
 ORBIT_GUARD = 1e-14
 
 # The prefix sweep applies a map to at most this many points per call
-# (whole rows, so a row longer than this is a call of its own).  Beyond
-# capping temporaries, this keeps every multi-row call below numpy's
-# 256 KiB temporary-elision threshold: above it numpy reuses temporaries
+# (whole rows, so a row longer than this is a call of its own, or the one
+# point of each of as many collapsed rows).  Beyond capping temporaries,
+# this keeps every multi-row call below numpy's 256 KiB
+# temporary-elision threshold: above it numpy reuses temporaries
 # in place, and its in-place complex division rounds differently, so an
 # unblocked sweep drifts from the row-by-row F_n in the last bit.
 _SWEEP_BLOCK = 8192
@@ -250,16 +252,31 @@ def _evaluate_prefixes(seq, points: np.ndarray) -> np.ndarray:
     in blocks of whole rows of at most _SWEEP_BLOCK points.  Every map
     acts elementwise, so a 2-D block gives each point the bits it gets in
     a row of its own.
+
+    A row whose P values are one bit pattern (as int64, so 0.0 and -0.0
+    differ and a lost row of NaN is one) stays one, so it is carried as
+    one point: rows m .. N - 1 all are, and f_k goes to their column 0
+    alone, in calls of at most _SWEEP_BLOCK points.  After each stage m
+    moves down while row m - 1 is one pattern, and at the end column 0
+    fills those rows.  The N (N + 1) / 2 evaluations per probe point thus
+    hold only until rows collapse; a collapsed row costs one point a map.
     """
     N, P = len(seq), points.size
     vals = np.empty((N, P), dtype=complex)
-    step = max(1, _SWEEP_BLOCK // P)
+    bits = vals.view(np.int64).reshape(N, P, 2)
+    step, m = max(1, _SWEEP_BLOCK // P), N
     with np.errstate(invalid="ignore", divide="ignore"):  # maps on lost (NaN) points
         for k in range(N, 0, -1):
             vals[k - 1] = points
-            for a in range(k - 1, N, step):
-                b = min(a + step, N)
+            for a in range(k - 1, m, step):
+                b = min(a + step, m)
                 vals[a:b] = _guard(seq[k - 1](vals[a:b]))
+            for a in range(m, N, _SWEEP_BLOCK):
+                b = min(a + _SWEEP_BLOCK, N)
+                vals[a:b, 0] = _guard(seq[k - 1](vals[a:b, 0]))
+            while m >= k and (bits[m - 1] == bits[m - 1, :1]).all():
+                m -= 1
+    vals[m:] = vals[m:, :1]
     return vals
 
 
@@ -348,8 +365,11 @@ def run(seq, probe: ProbeSpec | None = None, tol: float = 1e-8):
     records, over its live points, the rho-diameter of the probe image,
     the movement against the previous step, and the Schwarz-Pick slack,
     which must stay at rounding level.  The composites come from one
-    triangular sweep: N vectorized map calls (more when N P exceeds
-    _SWEEP_BLOCK) and N (N + 1) / 2 point evaluations per probe point.
+    triangular sweep of N stages, each one vectorized map call over the
+    rows that have not collapsed and one over the column of those that
+    have (more when either exceeds _SWEEP_BLOCK points).  It makes
+    N (N + 1) / 2 point evaluations per probe point until rows collapse to
+    one double; each collapsed row then costs one point a map.
     The coordinates and gaps of every step are computed once; they feed
     the movements and one `_pair_pass` over all steps, on the probe's
     `_probe_tiles`: it evaluates only the pairs of tiles that can hold a

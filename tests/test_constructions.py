@@ -232,9 +232,11 @@ def test_alternating_builder_on_transported_domain():
 
 
 def test_alternating_builder_scans_once_a_step(monkeypatch):
-    # Each step asks X for one array scan of the sweep circle and two
-    # points (the previous value and the new one); the two inputs are
-    # checked once.  The arc's middle comes from the scan: no bisection.
+    # Each step asks X for one array scan of the sweep circle and one
+    # point, the new value; the two inputs are checked once, and the map
+    # is built from the disk coordinate of the previous value, whose
+    # membership the step before it checked.  The arc's middle comes from
+    # the scan: no bisection.
     X = Horodisk(1.0, 0.3)
     a = complex(X.anchor)
     a1 = point_at_intrinsic_distance(X, a, 1.0, math.pi / 3)
@@ -248,8 +250,8 @@ def test_alternating_builder_scans_once_a_step(monkeypatch):
     monkeypatch.setattr(X, "contains", counted)
     build_alternating_system(X, a, a1, 12)
     assert calls.count(1) == 12
-    assert calls.count(0) == 2 * 12 + 2
-    assert len(calls) == 38
+    assert calls.count(0) == 12 + 2
+    assert len(calls) == 26
 
 
 def test_alternating_builder_rejections():

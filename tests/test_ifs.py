@@ -614,6 +614,26 @@ def test_collapsed_row_reads_the_pair_pass_numbers(piece, monkeypatch):
     assert sorted(sizes) == [1, 1, vals.size]
 
 
+def _signed_zero_rows():
+    # Both rows hold +0 and -0, which compare equal: neither is one point.
+    return [MapDescriptor((_SignedZero(),)), MapDescriptor((Affine(0.5, 0.1),))]
+
+
+def _collapsed_above_live():
+    # Rows 3 and 4 are one point, row 2 is not (map 2 pushes some points
+    # past the edge of map 1, which loses them), and row 1 is one point.
+    return [
+        MapDescriptor((_Collapse(0.2 + 0.1j, edge=0.9),)),
+        MapDescriptor((MobiusAut(-0.6),)),
+        MapDescriptor((Affine(0.0, 0.1),)),
+        MapDescriptor((Affine(0.5, 0.0),)),
+    ]
+
+
+_DEEP_DISK = random_system(EuclideanSubdisk(0.1 + 0.2j, 0.3), seed=5, count=120)
+_DEEP_HORODISK = random_system(Horodisk(cmath.exp(1.1j), 0.5), seed=7, count=120)
+
+
 @pytest.mark.parametrize(
     "seq, probe",
     [
@@ -623,18 +643,66 @@ def test_collapsed_row_reads_the_pair_pass_numbers(piece, monkeypatch):
         (_killed_at_step_three(), ProbeSpec(rings=3, spokes=5)),
         (_partly_lost(), ProbeSpec(rings=3, spokes=5)),
         (random_system(Horodisk(cmath.exp(0.4j), 0.6), seed=2, count=3), ProbeSpec(rings=64, spokes=130)),
+        (_DEEP_DISK, ProbeSpec(rings=4, spokes=8)),
+        (_DEEP_HORODISK, ProbeSpec(rings=4, spokes=8)),
+        (_signed_zero_rows(), ProbeSpec(rings=3, spokes=8)),
+        (_collapsed_above_live(), ProbeSpec(rings=3, spokes=5)),
     ],
-    ids=["disk", "horodisk", "guard", "guard_inner", "partial", "one_row_blocks"],
+    ids=[
+        "disk", "horodisk", "guard", "guard_inner", "partial", "one_row_blocks",
+        "deep_disk", "deep_horodisk", "signed_zero", "collapsed_above_live",
+    ],
 )
 def test_prefix_sweep_matches_per_row_evaluation(seq, probe):
-    # Row n of the sweep is F_n evaluated on its own, bit for bit, with NaN
-    # at the same lost points; the 577-point rows split into blocks of 14,
-    # and the 8321-point rows are one block each.
+    # Row n of the sweep is F_n evaluated on its own, bit for bit (as int64,
+    # so signed zeros count and lost points are the guard's one NaN); the
+    # 577-point rows split into blocks of 14, and the 8321-point rows are
+    # one block each.  Most rows of the deep systems collapse to one point,
+    # which the sweep carries alone; rows of zeros of both signs are not
+    # one point.
     pts = probe.points()
     rows = _evaluate_prefixes(seq, pts)
     assert rows.shape == (len(seq), pts.size)
     for n in range(1, len(seq) + 1):
-        assert np.array_equal(rows[n - 1], _evaluate_grid(seq[:n], pts), equal_nan=True), n
+        assert np.array_equal(rows[n - 1].view(np.int64), _evaluate_grid(seq[:n], pts).view(np.int64)), n
+
+
+def _guarded_sizes(monkeypatch):
+    # The number of points of every map call of the sweep.
+    sizes = []
+
+    def counting(vals):
+        sizes.append(np.size(vals))
+        return guard(vals)
+
+    guard = diskdyn.ifs._guard
+    monkeypatch.setattr(diskdyn.ifs, "_guard", counting)
+    return sizes
+
+
+def test_prefix_sweep_carries_collapsed_rows_as_one_point(monkeypatch):
+    # An ifs_deep-shaped run: a disk target, N = 300 and a 4 x 8 probe.
+    # Rows collapse within a few dozen maps, so the sweep evaluates well
+    # under the N (N + 1) / 2 points per probe point of a full triangle.
+    seq = random_system(EuclideanSubdisk(-0.2 + 0.1j, 0.4), seed=3, count=300)
+    pts = ProbeSpec(rings=4, spokes=8).points()
+    sizes = _guarded_sizes(monkeypatch)
+    _evaluate_prefixes(seq, pts)
+    assert sum(sizes) < 0.5 * 300 * 301 / 2 * pts.size
+
+
+def test_prefix_sweep_tail_calls_stay_blocked(monkeypatch):
+    # The collapsed rows go in calls of at most _SWEEP_BLOCK points as
+    # well (their tail fills whole calls of 64; a row of 33 is one call),
+    # and keep their bits.
+    monkeypatch.setattr(diskdyn.ifs, "_SWEEP_BLOCK", 64)
+    pts = ProbeSpec(rings=4, spokes=8).points()
+    sizes = _guarded_sizes(monkeypatch)
+    rows = _evaluate_prefixes(_DEEP_DISK, pts)
+    assert max(sizes) == 64
+    monkeypatch.undo()
+    for n in range(1, len(_DEEP_DISK) + 1):
+        assert np.array_equal(rows[n - 1].view(np.int64), _evaluate_grid(_DEEP_DISK[:n], pts).view(np.int64)), n
 
 
 def test_run_step_count_bounds():
