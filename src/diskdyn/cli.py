@@ -18,7 +18,7 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -313,10 +313,13 @@ def _csv_lines(heads, values, tails):
 
 
 def _trace_lines(steps):
-    """trace.csv's rows, a block of whole steps of at most _FORMAT_BLOCK
-    values at a time (one step when a step is longer), so only one
+    """trace.csv's rows, one string per block of whole steps of at most
+    _FORMAT_BLOCK values (one step when a step is longer), so only one
     block's strings are alive.  Each distinct double of a block's re, im
-    and diameters is formatted once, by bit pattern."""
+    and diameters is formatted once, by bit pattern.  A block is one join
+    on "," of its first n, then per row its index, re, im and a joiner
+    "d\nn" that ends the row and starts the next (just "d\n" at the
+    block's end)."""
     if not steps:
         return
     P = steps[0].values.size
@@ -326,9 +329,16 @@ def _trace_lines(steps):
         block = steps[a:a + per]
         values = np.concatenate([s.values for s in block])
         diameters = _reprs(np.array([s.diameter for s in block], dtype=float))
-        heads = chain.from_iterable(map(f"{s.n},".__add__, indices) for s in block)
-        tails = chain.from_iterable(repeat(f"{d}\n", P) for d in diameters)
-        yield from map(",".join, zip(heads, _reprs(values.real), _reprs(values.imag), tails))
+        joiners = []
+        for s, d, after in zip(block, diameters, [s.n for s in block[1:]] + [""]):
+            joiners += [f"{d}\n{s.n}"] * (P - 1)
+            joiners.append(f"{d}\n{after}")
+        tokens = [str(block[0].n)] * (1 + 4 * values.size)
+        tokens[1::4] = indices * len(block)
+        tokens[2::4] = _reprs(values.real)
+        tokens[3::4] = _reprs(values.imag)
+        tokens[4::4] = joiners
+        yield ",".join(tokens)
 
 
 def _budget(options: dict) -> SearchBudget:

@@ -34,6 +34,11 @@ from .sampling import ring_points
 # the later maps, whose arithmetic carries NaN to NaN, keep them NaN.
 ORBIT_GUARD = 1e-14
 
+# The largest double a with 1.0 - a >= ORBIT_GUARD.  1.0 - a rounds
+# monotonically, so |z| <= _ORBIT_LIMIT holds exactly where the guard's
+# 1.0 - |z| >= ORBIT_GUARD does, and neither holds for NaN or inf.
+_ORBIT_LIMIT = 0.9999999999999899
+
 # The prefix sweep applies a map to at most this many points per call
 # (whole rows, so a row longer than this is a call of its own, or the one
 # point of each of as many collapsed rows).  Beyond capping temporaries,
@@ -51,7 +56,8 @@ _PAIR_BLOCK = 8192
 _TILE = 16
 
 # ProbeSpec refuses a probe of more points than this: `run` holds sinh^2
-# rho of every pair of probe points, 8 P^2 bytes, so about 0.8 GB here.
+# rho of the pairs of tiles s <= t, T (T + 1) / 2 S^2 doubles for T tiles
+# of S points, about 4 P^2 bytes, so about 0.4 GB here.
 MAX_PROBE_POINTS = 10_000
 
 
@@ -145,7 +151,7 @@ class ProbeSpec:
         if count > MAX_PROBE_POINTS:
             raise PreconditionError(
                 f"a probe of {count} points exceeds the limit of {MAX_PROBE_POINTS} "
-                f"points ({8 * MAX_PROBE_POINTS**2 / 1e9:.1f} GB of pair tiles)"
+                f"points ({4 * MAX_PROBE_POINTS**2 / 1e9:.1f} GB of pair tiles)"
             )
         object.__setattr__(self, "marked", tuple(map(disk_point, self.marked)))
         if not inside(self.points()).all():
@@ -223,8 +229,9 @@ def _guard(vals) -> np.ndarray:
     # lost here and inside there: the engine's lost set is its own.  The
     # abs gives a point the same bits alone, at any offset and in any
     # block, so the lost set does not depend on the block layout.  The
-    # negated comparison is also true for NaN and inf.
-    bad = ~(1.0 - np.abs(vals) >= ORBIT_GUARD)
+    # comparison with _ORBIT_LIMIT is the guard's in one pass, and negated
+    # it is also true for NaN and inf.
+    bad = ~(np.abs(vals) <= _ORBIT_LIMIT)
     if not bad.any():
         return vals
     return np.where(bad, np.nan + 0j, vals)
@@ -282,8 +289,9 @@ def _evaluate_prefixes(seq, points: np.ndarray) -> np.ndarray:
 
 def _probe_tiles(pts: np.ndarray):
     """The probe cut into tiles of nearby points (row s of tiles indexes
-    tile s), base[s, t, a, b] = sinh^2 rho(tiles[s, a], tiles[t, b]), and
-    floors[s, t] = the least of base[s, t].  P points with P^2 <=
+    tile s), the packed pairs of tiles s <= t, base[_tile_pair(s, t, T)][a,
+    b] = sinh^2 rho(tiles[s, a], tiles[t, b]), and floors[s, t] = the
+    least of that tile pair, +inf for s > t.  P points with P^2 <=
     _PAIR_BLOCK are one tile; more are split along the wider coordinate,
     recursively, at the multiple of _TILE next above the median, and the
     one short tile repeats its points.  A point paired with itself
@@ -300,13 +308,22 @@ def _probe_tiles(pts: np.ndarray):
     idx = np.arange(pts.size)
     tiles = idx[None] if pts.size**2 <= _PAIR_BLOCK else np.array([np.resize(g, _TILE) for g in split(idx)])
     T, S = tiles.shape
-    z, base = pts[tiles], np.empty((T, T, S, S))
-    per = max(1, _PAIR_BLOCK // (S * tiles.size))
-    for a in range(0, T, per):
-        base[a:a + per] = sinh2_rho(z[a:a + per, None, :, None], z[None, :, None, :])
-    r = np.arange(T)
-    base[r, r] = np.where(tiles[:, :, None] == tiles[:, None], np.inf, base[r, r])
-    return tiles, base, base.min(axis=(2, 3))
+    # Probe points are inside the disk, so `_sinh2` gives sinh2_rho's bits.
+    c = _coords(pts[tiles])
+    base = np.empty((T * (T + 1) // 2, S, S))
+    for s in range(T):
+        o = _tile_pair(s, s, T)
+        base[o:o + T - s] = _sinh2([k[s, :, None] for k in c], [k[s:, None] for k in c])
+        base[o][tiles[s, :, None] == tiles[s]] = np.inf
+    floors = np.full((T, T), np.inf)
+    floors[np.triu_indices(T)] = base.min(axis=(1, 2))
+    return tiles, base, floors
+
+
+def _tile_pair(s, t, T):
+    """Where the pair of tiles s <= t of T sits in `_probe_tiles`' packed
+    base: row s of tile pairs starts at s T - s (s - 1) / 2."""
+    return s * T - s * (s - 1) // 2 + t - s
 
 
 def _pair_pass(coords: tuple, base: np.ndarray, tiles=None, floors=0.0):
@@ -315,7 +332,7 @@ def _pair_pass(coords: tuple, base: np.ndarray, tiles=None, floors=0.0):
     rho(z_i, z_j) over them (0.0 if none grew), as arrays of the rows'
     shape.  coords are the `_coords` of rows of P values, NaN at lost
     points; tiles, base and floors are `_probe_tiles`', or one tile, a
-    P x P base and no floor.
+    P x P base and no floor.  Only base's tile pairs s <= t are read.
 
     Each tile pair s <= t of a row is bounded first: `_sinh2` on the widest
     coordinate differences of the two tiles' live boxes and on their least
@@ -331,7 +348,7 @@ def _pair_pass(coords: tuple, base: np.ndarray, tiles=None, floors=0.0):
     if tiles is None:
         tiles = np.arange(coords[0].shape[-1])[None]
     T, S = tiles.shape
-    blocks, shape = base.reshape(T, T, S, S), coords[0].shape[:-1]
+    blocks, shape = base.reshape(-1, S, S), coords[0].shape[:-1]
     rows = [np.reshape(k, (-1, k.shape[-1])) for k in coords]
     q_max, slack = np.empty(len(rows[0])), np.zeros(len(rows[0]))
     per, step = max(1, _PAIR_BLOCK // max(T * T, tiles.size)), max(1, _PAIR_BLOCK // S**2)
@@ -347,10 +364,12 @@ def _pair_pass(coords: tuple, base: np.ndarray, tiles=None, floors=0.0):
         r, s, t = np.nonzero(np.triu(bound > np.minimum(floors, low[:, None, None])))
         for a in range(0, r.size, step):
             k, i, j = r[a:a + step], s[a:a + step], t[a:a + step]
-            q, q_base = _sinh2(c[:, k, i, :, None], c[:, k, j, None]), blocks[i, j]
+            q, q_base = _sinh2(c[:, k, i, :, None], c[:, k, j, None]), blocks[_tile_pair(i, j, T)]
             np.fmax.at(q_max, r0 + k, np.fmax.reduce(q, axis=(1, 2)))
             # Only pairs that moved apart need distances.
             grown = q > q_base
+            if not grown.any():
+                continue
             k = np.broadcast_to(k[:, None, None], q.shape)[grown]
             np.maximum.at(slack, r0 + k, np.arcsinh(np.sqrt(q[grown])) - np.arcsinh(np.sqrt(q_base[grown])))
     return q_max.reshape(shape), slack.reshape(shape)

@@ -155,7 +155,7 @@ def test_probe_spec_refuses_more_points_than_the_pair_tiles_hold(monkeypatch):
         {"rings": 100, "spokes": 100, "origin": True},
         {"rings": 100, "spokes": 250},
     ):
-        with pytest.raises(PreconditionError, match=r"limit of 10000 points \(0\.8 GB"):
+        with pytest.raises(PreconditionError, match=r"limit of 10000 points \(0\.4 GB"):
             ProbeSpec(**probe)
 
 
@@ -208,6 +208,31 @@ def test_run_guard_records_lost_points():
     assert math.isnan(step.diameter) and math.isnan(step.movement)
     assert _engine_results(steps, report)["steps"][0]["lost_points"] == step.values.size
     assert report.verdict.kind == "undecided"
+
+
+def test_guard_limit_is_the_guard_in_one_comparison():
+    # _ORBIT_LIMIT is the largest modulus that 1.0 - |z| >= ORBIT_GUARD
+    # keeps, so _guard's one comparison loses exactly the points that
+    # expression loses, NaN and inf among them.
+    limit = diskdyn.ifs._ORBIT_LIMIT
+    assert 1.0 - limit >= ORBIT_GUARD
+    assert not 1.0 - np.nextafter(limit, 2.0) >= ORBIT_GUARD
+    moduli = [limit]
+    for _ in range(4):
+        moduli = [np.nextafter(moduli[0], 0.0), *moduli, np.nextafter(moduli[-1], 2.0)]
+    rng = np.random.default_rng(5)
+    edge = (1.0 - 1e-13 * rng.random(4000)) * np.exp(2j * np.pi * rng.random(4000))
+    special = [0j, complex(-0.0, -0.0), complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+               complex(0.0, -math.inf), complex(-math.inf, math.nan), 1.0 + 0j, 2.0 + 0j]
+    moduli = np.array(moduli, dtype=complex)
+    lost = []
+    for block in (moduli, -moduli, 1j * moduli, np.array(special), edge, 0.99 * edge, np.concatenate((edge, moduli))):
+        old = ~(1.0 - np.abs(block) >= ORBIT_GUARD)
+        lost.append(int(old.sum()))
+        got = diskdyn.ifs._guard(block)
+        assert (np.isnan(got) == old).all()
+        assert (got[~old] == block[~old]).all()
+    assert lost[:4] == [4, 4, 4, 7] and 0 < lost[4] < edge.size and lost[5] == 0
 
 
 def _killed_at_step_three():
@@ -408,6 +433,12 @@ def test_pruned_pair_pass_matches_full_matrix_bit_for_bit(case):
         assert (_bits(q), _bits(x)) == tuple(map(_bits, want)), kind
         if kind == "random":
             assert want[1] > 0.0
+    # The pass reads only the tile pairs s <= t: floors poisoned below the
+    # diagonal select every pair there, and change no bit.
+    poisoned = floors.copy()
+    poisoned[np.tril_indices(len(tiles), -1)] = -np.inf
+    again = _pair_pass(_coords(rows), base, tiles, poisoned)
+    assert list(map(_bits, np.concatenate(again))) == list(map(_bits, np.concatenate((q_max, slack))))
 
 
 def test_run_raises_on_schwarz_pick_violation():
@@ -490,17 +521,13 @@ def test_trace_csv_bytes_match_csv_writer(tmp_path):
     assert paths["grid"].read_bytes() == grid.getvalue().encode()
 
 
-def _collapsing_run():
+def _collapsing_run(probe=None):
     # Steps 26 to 40 of this constant-limit run have collapsed to one point.
-    return run(random_system(parse_domain("disk(0,0,0.3)"), 1, 40))[0]
+    return run(random_system(parse_domain("disk(0,0,0.3)"), 1, 40), probe=probe)[0]
 
 
-def test_trace_csv_bytes_match_csv_writer_across_blocks(tmp_path):
-    # 40 steps of 577 points are 14 blocks of whole steps, and the collapsed
-    # steps repeat one value and one diameter.
-    steps = _collapsing_run()
-    assert 577 * 2 < _FORMAT_BLOCK < 577 * 40
-    paths = emit_outputs(tmp_path, {}, _trace_lines(steps))
+def _csv_writer_trace(steps):
+    # trace.csv as csv.writer writes its rows as tuples.
     trace = io.StringIO()
     writer = csv.writer(trace, lineterminator="\n")
     writer.writerow(["n", "probe_index", "re", "im", "diameter"])
@@ -509,13 +536,32 @@ def test_trace_csv_bytes_match_csv_writer_across_blocks(tmp_path):
         for s in steps
         for i, z in enumerate(s.values)
     )
-    assert ",0.0\n" in trace.getvalue()
-    assert paths["trace"].read_bytes() == trace.getvalue().encode()
+    return trace.getvalue()
+
+
+def test_trace_csv_bytes_match_csv_writer_across_blocks(tmp_path):
+    # 40 steps of 577 points are 14 blocks of whole steps, and the collapsed
+    # steps repeat one value and one diameter.  A step of 2,161 points is
+    # longer than a block, so each is a block of its own; a one-point probe
+    # puts all 40 steps in one block, each step one row with no diameter.
+    assert 577 * 2 < _FORMAT_BLOCK < 2161
+    for probe, blocks, diameter in (
+        (None, 14, "0.0"),
+        (ProbeSpec(rings=90, spokes=24), 40, "0.0"),
+        (ProbeSpec(rings=0, spokes=0), 1, "nan"),
+    ):
+        steps = _collapsing_run(probe)
+        assert len(list(_trace_lines(steps))) == blocks
+        paths = emit_outputs(tmp_path / str(blocks), {}, _trace_lines(steps))
+        trace = _csv_writer_trace(steps)
+        assert trace.endswith(f",{diameter}\n")
+        assert paths["trace"].read_bytes() == trace.encode()
 
 
 def test_trace_lines_format_one_block_at_a_time(monkeypatch):
-    # The first line formats the first block's doubles and no more, so a
-    # trace never holds the strings of the whole run at once.
+    # The first next() gives the whole first block and formats that block's
+    # doubles and no more, so a trace never holds the strings of the whole
+    # run at once.
     steps = _collapsing_run()
     sizes = []
 
@@ -526,11 +572,10 @@ def test_trace_lines_format_one_block_at_a_time(monkeypatch):
     reprs = diskdyn.cli._reprs
     monkeypatch.setattr(diskdyn.cli, "_reprs", counting)
     lines = _trace_lines(steps)
-    z = complex(steps[0].values[0])
-    assert next(lines) == f"1,0,{z.real!r},{z.imag!r},{float(steps[0].diameter)!r}\n"
     per = _FORMAT_BLOCK // 577
+    assert next(lines) == _csv_writer_trace(steps[:per]).partition("\n")[2]
     assert sorted(sizes) == [per, per * 577, per * 577]
-    assert len(list(lines)) == 40 * 577 - 1
+    assert len(list(lines)) == -(-40 // per) - 1
     assert sum(sizes) == 40 + 2 * 40 * 577
 
 
@@ -597,8 +642,8 @@ def test_collapsed_row_reads_the_pair_pass_numbers(piece, monkeypatch):
     # A row whose live values are one point, with lost points around it or
     # with zeros of both signs, records a diameter and a slack of 0.0 as
     # the pass does, and evaluates no pair: the probe is one tile, so the
-    # kernel's outputs are its one tile pair's bound and lower bound and
-    # the step's movement over the P probe points.
+    # pass's kernel outputs are its one tile pair's bound and lower bound,
+    # and the step's movement is over the P probe points.
     seq = [MapDescriptor((piece,))]
     probe = ProbeSpec(rings=3, spokes=8)
     vals = _evaluate_grid(seq, probe.points())
@@ -611,7 +656,8 @@ def test_collapsed_row_reads_the_pair_pass_numbers(piece, monkeypatch):
     sizes = _kernel_sizes(monkeypatch)
     (step,), _ = run(seq, probe=probe)
     assert (_bits(step.diameter), _bits(step.schwarz_slack)) == (_bits(0.0), _bits(0.0))
-    assert sorted(sizes) == [1, 1, vals.size]
+    # Besides those, the set-up's one tile pair of the probe with itself.
+    assert sorted(sizes) == [1, 1, vals.size, vals.size**2]
 
 
 def _signed_zero_rows():
